@@ -61,29 +61,28 @@ class DimChar:
         return f"DimChar([{vals}])"
 
 
+def _close_mask(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Elementwise :func:`close`: ``|x - y| <= tol * max(1, |x|, |y|)``."""
+    return np.abs(x - y) <= tol * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+
+
 def validate_dim_char(char: DimChar, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check unit normalisation, multiplicativity, nonzero entries and duality."""
     ring, d = char.ring, char.d
-    n, N = ring.rank, ring.N
     viols: list[Violation] = []
     if not close(d[ring.unit], 1.0, tol):
         viols.append(Violation("unit", (ring.unit,), complex(d[ring.unit]), 1.0))
-    prod = np.einsum("abc,c->ab", N, d)
+    prod = np.einsum("abc,c->ab", ring.N, d)
     outer = np.outer(d, d)
-    for a in range(n):
-        for b in range(n):
-            if not close(outer[a, b], prod[a, b], tol):
-                viols.append(
-                    Violation("multiplicativity", (a, b), complex(outer[a, b]), complex(prod[a, b]))
-                )
-    for a in range(n):
-        if abs(d[a]) <= tol:
-            viols.append(Violation("nonzero", (a,), complex(d[a]), "nonzero"))
-    for a in range(n):
-        if not close(d[ring.dual[a]], np.conj(d[a]), tol):
-            viols.append(
-                Violation("duality", (a,), complex(d[ring.dual[a]]), complex(np.conj(d[a])))
-            )
+    for a, b in zip(*np.nonzero(~_close_mask(outer, prod, tol))):
+        viols.append(
+            Violation("multiplicativity", (int(a), int(b)), complex(outer[a, b]), complex(prod[a, b]))
+        )
+    for a in np.nonzero(np.abs(d) <= tol)[0]:
+        viols.append(Violation("nonzero", (int(a),), complex(d[a]), "nonzero"))
+    dual_d, conj_d = d[ring.dual], np.conj(d)
+    for a in np.nonzero(~_close_mask(dual_d, conj_d, tol))[0]:
+        viols.append(Violation("duality", (int(a),), complex(dual_d[a]), complex(conj_d[a])))
     return ValidationReport(tuple(viols))
 
 
@@ -120,22 +119,29 @@ def _polish_character(ring: FusionRing, d: np.ndarray) -> np.ndarray:
     steps; the eigensolver start is already accurate, so this only sharpens
     the last few digits.
     """
-    n, N, unit = ring.rank, ring.N, ring.unit
-    free = [a for a in range(n) if a != unit]
-    if not free:
+    n, unit = ring.rank, ring.unit
+    if n == 1:
         return np.array([1.0 + 0.0j])
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    d = d.copy()
+    free = np.arange(n) != unit
+    a, b = np.triu_indices(n)
+    rows = np.arange(a.size)
+    pair_N = ring.N[a, b].astype(complex)
+    d = np.array(d, dtype=complex)
     d[unit] = 1.0
+    prod = np.empty(a.size, dtype=complex)
     for _ in range(16):
-        res = np.array([d[a] * d[b] - N[a, b] @ d for a, b in pairs])
+        # d[a] d[b] component-wise, which rounds exactly like a scalar product
+        prod.real = d.real[a] * d.real[b] - d.imag[a] * d.imag[b]
+        prod.imag = d.real[a] * d.imag[b] + d.imag[a] * d.real[b]
+        res = prod - pair_N @ d
         if np.max(np.abs(res)) < 1e-14:
             break
-        jac = np.zeros((len(pairs), len(free)), dtype=complex)
-        for row, (a, b) in enumerate(pairs):
-            for col, c in enumerate(free):
-                jac[row, col] = (c == a) * d[b] + (c == b) * d[a] - N[a, b, c]
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        # row (a, b), column c: d[b] delta(c, a) + d[a] delta(c, b) - N[a, b, c]
+        jac = np.zeros_like(pair_N)
+        jac[rows, a] += d[b]
+        jac[rows, b] += d[a]
+        jac -= pair_N
+        step, *_ = np.linalg.lstsq(jac[:, free], -res, rcond=None)
         if np.max(np.abs(step)) > 0.5:
             break  # refinement diverging; keep the eigensolver result
         d[free] += step

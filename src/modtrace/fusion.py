@@ -104,6 +104,8 @@ class FusionRing:
         return bool(np.array_equal(self.N, self.N.transpose(1, 0, 2)))
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, FusionRing):
             return NotImplemented
         return (

@@ -108,20 +108,15 @@ def is_indecomposable(rep: NimRep) -> bool:
     """True iff the action graph on module simples is connected.
 
     ``sum_u M_u`` is symmetric by duality, so strong connectivity reduces to
-    connectivity; computed by union-find on nonzero entries.
+    connectivity; computed by breadth-first frontier expansion from simple 0
+    over the (symmetrised) nonzero pattern.
     """
-    k = rep.module_rank
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    total = rep.action_sum()
-    for j, i in zip(*np.nonzero(total)):
-        rj, ri = find(int(j)), find(int(i))
-        if rj != ri:
-            parent[rj] = ri
-    return len({find(x) for x in range(k)}) == 1
+    adj = rep.action_sum() > 0
+    adj |= adj.T
+    seen = np.zeros(rep.module_rank, dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())

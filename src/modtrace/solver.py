@@ -175,32 +175,35 @@ def solve_module_trace(
 ) -> TraceCertificate:
     """Decide module-trace existence and extract the trace dimension vector.
 
-    ``matched`` is true iff every 2x2 minor of ``Q`` vanishes (rank at most 1)
-    and every entry of ``Q`` is nonzero, both at ``tol`` scaled by the largest
-    entry of ``Q``.  When matched, the vector is recovered from the anchor
-    column: ``d_M[i] = Q[i][p] / sqrt(Q[p][p])`` at the largest diagonal entry
-    ``p``, giving ``sum |d_M|^2 = trace(Q) = dim(C)`` and ``d_M[p] > 0``.
+    ``matched`` is true iff ``Q`` has rank at most 1 and every entry of ``Q``
+    is nonzero, both at ``tol`` scaled by the largest entry of ``Q``.  The rank
+    test is O(k^2): with the pivot ``(r, s)`` at the largest entry of ``|Q|``,
+    ``residuals["max_minor"]`` is the largest 2x2 minor through the pivot,
+    ``max_ab |Q[r][s] Q[a][b] - Q[a][s] Q[r][b]|``, which vanishes exactly
+    when the rank is at most 1 (it is 0 for ``Q = 0``).  For the positive
+    semidefinite ``Q`` of valid inputs the pivot is the anchor below.
+
+    When matched, the vector is recovered from the anchor column:
+    ``d_M[i] = Q[i][p] / sqrt(Q[p][p])`` at the largest diagonal entry ``p``,
+    giving ``sum |d_M|^2 = trace(Q) = dim(C)`` and ``d_M[p] > 0``.
     """
     q = dimension_matrix(ring, char, rep)
     m = q.Q
-    k = q.size
+    mag = np.abs(m)
     dim_c = global_dimension(char)
     c = c_invariant(char)
-    scale = max(1.0, float(np.max(np.abs(m))))
+    scale = max(1.0, float(np.max(mag)))
     bound = tol * scale
     diagnostics: list[str] = []
 
-    pair_products = np.einsum("ij,pq->ipjq", m, m)
-    minors = pair_products - pair_products.transpose(0, 1, 3, 2)
-    upper = np.triu_indices(k, 1)
-    max_minor = 0.0
-    if upper[0].size:
-        sub = minors[upper[0], upper[1]][:, upper[0], upper[1]]
-        max_minor = float(np.max(np.abs(sub)))
+    # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
+    # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s].
+    r, s = np.unravel_index(int(np.argmax(mag)), m.shape)
+    max_minor = float(np.max(np.abs(m[r, s] * m - np.outer(m[:, s], m[r, :]))))
     if max_minor >= bound:
         diagnostics.append("rank exceeds 1")
 
-    min_entry = float(np.min(np.abs(m)))
+    min_entry = float(np.min(mag))
     if min_entry <= bound:
         diagnostics.append("zero entry in Q")
 

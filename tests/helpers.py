@@ -106,3 +106,32 @@ def fibonacci_broken():
     N = ring.N.copy()
     N[1, 1, 1] = 2
     return mt.FusionRing(2, ring.labels, 0, ring.dual.copy(), N)
+
+
+def max_minor_bruteforce(Q: np.ndarray) -> float:
+    """Largest absolute 2x2 minor of ``Q`` over all row and column pairs.
+
+    Builds the full k^4 tensor of pair products, so it is only an oracle for
+    the solver's O(k^2) pivoted rank test on small matrices.
+    """
+    k = Q.shape[0]
+    pair_products = np.einsum("ij,pq->ipjq", Q, Q)
+    minors = pair_products - pair_products.transpose(0, 1, 3, 2)
+    upper = np.triu_indices(k, 1)
+    if not upper[0].size:
+        return 0.0
+    sub = minors[upper[0], upper[1]][:, upper[0], upper[1]]
+    return float(np.max(np.abs(sub)))
+
+
+def diagnostics_bruteforce(Q: np.ndarray, tol: float = mt.DEFAULT_TOL) -> tuple[str, ...]:
+    """The solver's diagnostics, with the rank test decided by all 2x2 minors."""
+    bound = tol * max(1.0, float(np.max(np.abs(Q))))
+    out = []
+    if max_minor_bruteforce(Q) >= bound:
+        out.append("rank exceeds 1")
+    if float(np.min(np.abs(Q))) <= bound:
+        out.append("zero entry in Q")
+    if np.max(np.diag(Q).real) <= tol:
+        out.append("zero diagonal")
+    return tuple(out)

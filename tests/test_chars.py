@@ -5,6 +5,8 @@ import pytest
 
 import modtrace as mt
 from helpers import NAMED_RINGS, PHI, ROOT2
+from modtrace.chars import _polish_character
+from modtrace.common import close
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
@@ -175,3 +177,101 @@ def test_builtin_chars_match_enumeration(name):
     assert len(listed) == len(enumerated)
     for lhs, rhs in zip(listed, enumerated):
         assert np.max(np.abs(lhs.d - rhs.d)) < 1e-9
+
+
+def _close_sets(got, exact, tol=1e-9):
+    unused = list(range(len(got)))
+    for target in exact:
+        hit = next((i for i in unused if np.max(np.abs(got[i] - target)) <= tol), None)
+        if hit is None:
+            return False
+        unused.remove(hit)
+    return not unused
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_enumerate_elementary_abelian_matches_group_characters(k):
+    # Z2^k has a real eigenbasis, so polishing must work on a complex copy
+    table = mt.cyclic_table(2)
+    for _ in range(k - 1):
+        table = mt.direct_product(table, mt.cyclic_table(2))
+    ring = mt.group_ring(table)
+    got = [ch.d for ch in mt.enumerate_characters(ring)]
+    exact = [ch.d for ch in mt.group_characters(table)]
+    assert len(got) == 2**k
+    assert _close_sets(got, exact)
+
+
+def _polish_by_loops(ring, d):
+    """Entry-by-entry reference for the Gauss-Newton polish of a near-character."""
+    n, N, unit = ring.rank, ring.N, ring.unit
+    free = [a for a in range(n) if a != unit]
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    d = np.array(d, dtype=complex)
+    d[unit] = 1.0
+    for _ in range(16):
+        res = np.array([d[a] * d[b] - N[a, b] @ d for a, b in pairs])
+        if np.max(np.abs(res)) < 1e-14:
+            break
+        jac = np.zeros((len(pairs), len(free)), dtype=complex)
+        for row, (a, b) in enumerate(pairs):
+            for col, c in enumerate(free):
+                jac[row, col] = (c == a) * d[b] + (c == b) * d[a] - N[a, b, c]
+        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        if np.max(np.abs(step)) > 0.5:
+            break
+        d[free] += step
+    return d
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "zn:5", "zn:8"])
+def test_polish_matches_loop_reference(name):
+    ring, chars = mt.builtin(name)
+    rng = np.random.default_rng(7)
+    for char in chars:
+        start = char.d + 1e-6 * (rng.standard_normal(ring.rank) + 1j * rng.standard_normal(ring.rank))
+        got = _polish_character(ring, start)
+        assert np.array_equal(got, _polish_by_loops(ring, start))
+        assert np.max(np.abs(got - char.d)) < 1e-12
+    real = _polish_character(ring, chars[0].d.real + 1e-6)  # a real start is polished too
+    assert np.max(np.abs(real - chars[0].d)) < 1e-12
+
+
+def _violations_by_loops(char, tol=1e-9):
+    """Entry-by-entry reference for validate_dim_char, in its reporting order."""
+    ring, d = char.ring, char.d
+    n = ring.rank
+    viols = []
+    if not close(d[ring.unit], 1.0, tol):
+        viols.append(mt.Violation("unit", (ring.unit,), complex(d[ring.unit]), 1.0))
+    prod = np.einsum("abc,c->ab", ring.N, d)
+    outer = np.outer(d, d)
+    for a in range(n):
+        for b in range(n):
+            if not close(outer[a, b], prod[a, b], tol):
+                viols.append(
+                    mt.Violation("multiplicativity", (a, b), complex(outer[a, b]), complex(prod[a, b]))
+                )
+    for a in range(n):
+        if abs(d[a]) <= tol:
+            viols.append(mt.Violation("nonzero", (a,), complex(d[a]), "nonzero"))
+    for a in range(n):
+        if not close(d[ring.dual[a]], np.conj(d[a]), tol):
+            viols.append(
+                mt.Violation("duality", (a,), complex(d[ring.dual[a]]), complex(np.conj(d[a])))
+            )
+    return viols
+
+
+def test_validate_dim_char_reports_every_violation_in_order():
+    ring, chars = mt.builtin("zn:6")
+    d = np.array(chars[1].d)
+    d[0] = 1.1  # unit
+    d[2] = 0.0  # nonzero, and duality with its dual 4
+    d[3] *= 1.5  # multiplicativity only: 3 is self-dual and stays real
+    d[5] = 1e-9 * d[5]  # below the nonzero tolerance, and duality with 1
+    report = mt.validate_dim_char(mt.DimChar(ring, d))
+    expected = _violations_by_loops(mt.DimChar(ring, d))
+    assert {v.axiom for v in expected} == {"unit", "multiplicativity", "nonzero", "duality"}
+    assert list(report.violations) == expected
+    assert all(type(i) is int for v in report.violations for i in v.index)

@@ -99,6 +99,17 @@ def test_indecomposable_examples():
     assert mt.is_indecomposable(mt.vect_g_module(table, (0,)))
 
 
+def test_indecomposable_detects_disconnected_larger_sum():
+    table = mt.cyclic_table(3)
+    regular = mt.vect_g_module(table, (0,))
+    single = mt.vect_g_module(table, (0, 1, 2))
+    assert mt.is_indecomposable(regular)
+    total = mt.direct_sum(regular, single)
+    assert total.module_rank == 4
+    assert not mt.is_indecomposable(total)
+    assert not mt.is_indecomposable(mt.direct_sum(single, regular))
+
+
 def test_direct_sum_of_regulars_has_two_components():
     fib = mt.builtin("fibonacci")[0]
     reg = mt.regular_module(fib)

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modtrace as mt
-from helpers import PHI, ROOT2, instance_universe, trace_exists_bruteforce
+from helpers import (
+    PHI,
+    ROOT2,
+    diagnostics_bruteforce,
+    instance_universe,
+    max_minor_bruteforce,
+    trace_exists_bruteforce,
+)
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
@@ -314,3 +321,75 @@ def test_minor_test_agrees_with_bruteforce_on_small_instances():
         if cert.matched != oracle:
             disagreements.append(label)
     assert disagreements == []
+
+
+def _assert_pivoted_test_matches_all_minors(cert, label):
+    q = cert.Q.Q
+    bound = mt.DEFAULT_TOL * max(1.0, float(np.max(np.abs(q))))
+    assert cert.diagnostics == diagnostics_bruteforce(q), label
+    pivoted = cert.residuals["max_minor"] >= bound
+    assert pivoted == (max_minor_bruteforce(q) >= bound), label
+
+
+def test_pivoted_rank_test_matches_all_minors_on_universe():
+    count = 0
+    for label, ring, char, rep in instance_universe(with_sums=True):
+        _assert_pivoted_test_matches_all_minors(mt.solve_module_trace(ring, char, rep), label)
+        count += 1
+    assert count > 500
+
+
+def test_pivoted_rank_test_matches_all_minors_on_random_characters():
+    # the criterion-8 instances, plus the same modules under random complex
+    # (invalid) characters, whose Q is neither hermitian nor semidefinite
+    pool = [
+        item
+        for item in instance_universe(max_zn=6)
+        if item[3].module_rank <= 3 and mt.is_indecomposable(item[3])
+    ]
+    rng = np.random.default_rng(0)
+    for idx in rng.integers(0, len(pool), size=200):
+        label, ring, char, rep = pool[idx]
+        _assert_pivoted_test_matches_all_minors(mt.solve_module_trace(ring, char, rep), label)
+        d = rng.standard_normal(ring.rank) + 1j * rng.standard_normal(ring.rank)
+        noisy = mt.DimChar(ring, d)
+        _assert_pivoted_test_matches_all_minors(
+            mt.solve_module_trace(ring, noisy, rep), label + "/random"
+        )
+
+
+def test_pivoted_rank_test_on_zero_q():
+    table, ring, _, sign = z2_setup()
+    single = mt.vect_g_module(table, (0, 1))
+    cert = mt.solve_module_trace(ring, sign, single)
+    assert np.array_equal(cert.Q.Q, [[0.0]])
+    assert cert.residuals["max_minor"] == 0.0
+    assert cert.diagnostics == ("zero entry in Q", "zero diagonal")
+
+
+def _off_diagonal_instance(m0, m1, d1):
+    # Q = m0 + d1 * m1 over the Z2 group ring, from an (invalid) NIM-rep
+    ring = mt.group_ring(mt.cyclic_table(2))
+    rep = mt.NimRep(ring, len(m0), [m0, m1])
+    return mt.solve_module_trace(ring, mt.DimChar(ring, [1.0, d1]), rep)
+
+
+def test_pivoted_rank_test_with_off_diagonal_largest_entry():
+    eye = np.eye(2, dtype=int)
+    rank_one = _off_diagonal_instance(eye, [[0, 4], [1, 0]], 0.5)  # [[1, 2], [0.5, 1]]
+    assert np.argmax(np.abs(rank_one.Q.Q)) == 1
+    assert rank_one.residuals["max_minor"] == 0.0
+    assert rank_one.matched
+    _assert_pivoted_test_matches_all_minors(rank_one, "rank one")
+
+    rank_two = _off_diagonal_instance(eye, [[0, 1], [1, 0]], 2.0)  # [[1, 2], [2, 1]]
+    assert rank_two.residuals["max_minor"] == pytest.approx(3.0)
+    assert rank_two.diagnostics == ("rank exceeds 1",)
+    _assert_pivoted_test_matches_all_minors(rank_two, "rank two")
+
+    # a nilpotent shift: zero diagonal, so no diagonal pivot sees its rank 2
+    shift = np.diag([1, 1], k=1)
+    nilpotent = _off_diagonal_instance(shift, np.zeros((3, 3), dtype=int), 1.0)
+    assert nilpotent.residuals["max_minor"] == 1.0
+    assert nilpotent.diagnostics == ("rank exceeds 1", "zero entry in Q", "zero diagonal")
+    _assert_pivoted_test_matches_all_minors(nilpotent, "nilpotent")
