@@ -18,7 +18,6 @@ from .common import (
     Violation,
 )
 from .fusion import (
-    FusionReport,
     FusionRing,
     fp_dimensions,
     fusion_matrices,
@@ -85,7 +84,6 @@ __all__ = [
     "DimChar",
     "DimensionMatrix",
     "FrobeniusReport",
-    "FusionReport",
     "FusionRing",
     "GroupTable",
     "MatchedReport",

@@ -25,6 +25,7 @@ from .common import (
     ValidationReport,
     Violation,
     close,
+    collect_violations,
 )
 from .fusion import FusionRing, fp_dimensions, fusion_matrices
 
@@ -61,11 +62,6 @@ class DimChar:
         return f"DimChar([{vals}])"
 
 
-def _close_mask(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    """Elementwise :func:`close`: ``|x - y| <= tol * max(1, |x|, |y|)``."""
-    return np.abs(x - y) <= tol * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-
-
 def validate_dim_char(char: DimChar, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check unit normalisation, multiplicativity, nonzero entries and duality."""
     ring, d = char.ring, char.d
@@ -74,15 +70,10 @@ def validate_dim_char(char: DimChar, tol: float = DEFAULT_TOL) -> ValidationRepo
         viols.append(Violation("unit", (ring.unit,), complex(d[ring.unit]), 1.0))
     prod = np.einsum("abc,c->ab", ring.N, d)
     outer = np.outer(d, d)
-    for a, b in zip(*np.nonzero(~_close_mask(outer, prod, tol))):
-        viols.append(
-            Violation("multiplicativity", (int(a), int(b)), complex(outer[a, b]), complex(prod[a, b]))
-        )
-    for a in np.nonzero(np.abs(d) <= tol)[0]:
-        viols.append(Violation("nonzero", (int(a),), complex(d[a]), "nonzero"))
+    collect_violations(~close(outer, prod, tol), "multiplicativity", outer, prod, viols)
+    collect_violations(np.abs(d) <= tol, "nonzero", d, np.full(ring.rank, "nonzero"), viols)
     dual_d, conj_d = d[ring.dual], np.conj(d)
-    for a in np.nonzero(~_close_mask(dual_d, conj_d, tol))[0]:
-        viols.append(Violation("duality", (int(a),), complex(dual_d[a]), complex(conj_d[a])))
+    collect_violations(~close(dual_d, conj_d, tol), "duality", dual_d, conj_d, viols)
     return ValidationReport(tuple(viols))
 
 
@@ -209,8 +200,8 @@ def conjugate_char(char: DimChar) -> DimChar:
 
 def is_spherical(char: DimChar, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``d(a) = d(a*)`` for every simple, i.e. all dimensions real."""
-    d, dual = char.d, char.ring.dual
-    return all(close(d[a], d[dual[a]], tol) for a in range(char.ring.rank))
+    d = char.d
+    return bool(np.all(close(d, d[char.ring.dual], tol)))
 
 
 def global_dimension(char: DimChar) -> float:

@@ -22,10 +22,11 @@ from .common import (
     StructuralError,
     UnsupportedError,
     UsageError,
+    complex_pair,
 )
 from .frobenius import frobenius_report, morita_rescale_check
 from .fusion import FusionRing, fp_dimensions, validate_fusion_ring
-from .groups import GroupTable, group_characters, subgroups, vect_g_module
+from .groups import GroupTable, group_characters, group_ring, subgroups, vect_g_module
 from .nimrep import NimRep, regular_module, validate_nimrep
 from .solver import matched_report, solve_module_trace
 
@@ -93,6 +94,36 @@ def _load_group(source: str) -> GroupTable:
     return files.load_group(source)
 
 
+def _char_pairs(chars) -> list:
+    return [[complex_pair(z) for z in ch.d] for ch in chars]
+
+
+def _print_chars(labels, chars, out) -> None:
+    for idx, ch in enumerate(chars):
+        row = "  ".join(f"{lbl}: {_fmt_complex(z)}" for lbl, z in zip(labels, ch.d))
+        print(f"char {idx}:  {row}", file=out)
+
+
+def _emit_files(directory, ring, chars, modules, table=None) -> list[str]:
+    """Write the group (if given), ring, character and module files; returns the names written."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    written = []
+    if table is not None:
+        files.save_group(table, directory / "group.json")
+        written.append("group.json")
+    files.save_ring(ring, directory / "ring.json")
+    written.append("ring.json")
+    for idx, ch in enumerate(chars):
+        name = f"char-{idx:02d}.json"
+        files.save_char(ch, directory / name)
+        written.append(name)
+    for name, rep in modules:
+        files.save_module(rep, directory / name)
+        written.append(name)
+    return written
+
+
 def _print_cert(cert, out) -> None:
     print(f"matched:   {str(cert.matched).lower()}", file=out)
     print(f"dimC:      {_fmt(cert.dim_c)}", file=out)
@@ -139,13 +170,11 @@ def _cmd_characters(args, out) -> int:
     if args.json:
         payload = {
             "labels": list(ring.labels),
-            "characters": [[files.complex_pair(z) for z in ch.d] for ch in chars],
+            "characters": _char_pairs(chars),
         }
         print(files.dumps(payload), file=out)
     else:
-        for idx, ch in enumerate(chars):
-            row = "  ".join(f"{lbl}: {_fmt_complex(z)}" for lbl, z in zip(ring.labels, ch.d))
-            print(f"char {idx}:  {row}", file=out)
+        _print_chars(ring.labels, chars, out)
     return EXIT_OK
 
 
@@ -203,8 +232,8 @@ def _cmd_frobenius(args, out) -> int:
         print(f"inner-hom multiplicities: {mults}", file=out)
         print(f"dimA:      {_fmt(frob.dim_a)}", file=out)
         print(f"haploid:   {str(frob.haploid).lower()}", file=out)
-        print(f"beta1:     {_fmt(frob.beta_1)}", file=out)
-        print(f"betaA:     {_fmt(frob.beta_a)}", file=out)
+        print(f"beta1:     {_fmt(frob.dim_a)}", file=out)
+        print("betaA:     1", file=out)
         print(f"positivity_ok: {str(frob.positivity_ok).lower()}", file=out)
         if morita is not None:
             print(f"morita scale: {_fmt_complex(morita.scale)}", file=out)
@@ -212,28 +241,6 @@ def _cmd_frobenius(args, out) -> int:
     if args.assert_matched and not cert.matched:
         return EXIT_ASSERT
     return EXIT_OK
-
-
-def _emit_group_files(table: GroupTable, subs, chars, directory) -> list[str]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    from .groups import group_ring  # local import to keep module top light
-
-    written = []
-    ring = group_ring(table)
-    files.save_group(table, directory / "group.json")
-    written.append("group.json")
-    files.save_ring(ring, directory / "ring.json")
-    written.append("ring.json")
-    for idx, ch in enumerate(chars):
-        name = f"char-{idx:02d}.json"
-        files.save_char(ch, directory / name)
-        written.append(name)
-    for idx, sub in enumerate(subs):
-        name = f"module-H{idx:02d}.json"
-        files.save_module(vect_g_module(table, sub), directory / name)
-        written.append(name)
-    return written
 
 
 def _cmd_vectg(args, out) -> int:
@@ -245,7 +252,8 @@ def _cmd_vectg(args, out) -> int:
         raise UnsupportedError("characters are only enumerated for abelian groups")
     written = []
     if args.emit:
-        written = _emit_group_files(table, subs, chars, args.emit)
+        modules = [(f"module-H{idx:02d}.json", vect_g_module(table, sub)) for idx, sub in enumerate(subs)]
+        written = _emit_files(args.emit, group_ring(table), chars, modules, table)
     if args.json:
         payload = {
             "order": table.order,
@@ -255,7 +263,7 @@ def _cmd_vectg(args, out) -> int:
         if args.subgroups:
             payload["subgroups"] = [list(s) for s in subs]
         if args.characters:
-            payload["characters"] = [[files.complex_pair(z) for z in ch.d] for ch in chars]
+            payload["characters"] = _char_pairs(chars)
         if args.emit:
             payload["written"] = written
         print(files.dumps(payload), file=out)
@@ -268,11 +276,7 @@ def _cmd_vectg(args, out) -> int:
                 elems = ", ".join(table.label(x) for x in sub)
                 print(f"  H{idx:02d} (order {len(sub)}): {{{elems}}}", file=out)
         if args.characters:
-            for idx, ch in enumerate(chars):
-                row = "  ".join(
-                    f"{table.label(a)}: {_fmt_complex(z)}" for a, z in enumerate(ch.d)
-                )
-                print(f"char {idx}:  {row}", file=out)
+            _print_chars([table.label(a) for a in range(table.order)], chars, out)
         for name in written:
             print(f"wrote {name}", file=out)
     return EXIT_OK
@@ -282,16 +286,7 @@ def _cmd_builtin(args, out) -> int:
     ring, chars = catalog.builtin(args.name)
     written = []
     if args.emit:
-        directory = Path(args.emit)
-        directory.mkdir(parents=True, exist_ok=True)
-        files.save_ring(ring, directory / "ring.json")
-        written.append("ring.json")
-        for idx, ch in enumerate(chars):
-            name = f"char-{idx:02d}.json"
-            files.save_char(ch, directory / name)
-            written.append(name)
-        files.save_module(regular_module(ring), directory / "module-regular.json")
-        written.append("module-regular.json")
+        written = _emit_files(args.emit, ring, chars, [("module-regular.json", regular_module(ring))])
     if args.json:
         payload = {
             "name": args.name,
@@ -299,7 +294,7 @@ def _cmd_builtin(args, out) -> int:
             "rank": ring.rank,
             "labels": list(ring.labels),
             "fp_dims": [float(x) for x in fp_dimensions(ring)],
-            "characters": [[files.complex_pair(z) for z in ch.d] for ch in chars],
+            "characters": _char_pairs(chars),
         }
         if args.emit:
             payload["written"] = written
@@ -312,9 +307,7 @@ def _cmd_builtin(args, out) -> int:
             f"{lbl}: {_fmt(x)}" for lbl, x in zip(ring.labels, fp_dimensions(ring))
         )
         print(f"fp dims:   {dims}", file=out)
-        for idx, ch in enumerate(chars):
-            row = "  ".join(f"{lbl}: {_fmt_complex(z)}" for lbl, z in zip(ring.labels, ch.d))
-            print(f"char {idx}:  {row}", file=out)
+        _print_chars(ring.labels, chars, out)
         for name in written:
             print(f"wrote {name}", file=out)
     return EXIT_OK
@@ -398,7 +391,7 @@ def run(argv, out=None, err=None) -> int:
     except (StructuralError, UnsupportedError, PreconditionError, UsageError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT
     except NumericError as exc:

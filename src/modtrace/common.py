@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 #: Default absolute tolerance; comparisons scale it by max(1, magnitudes).
 DEFAULT_TOL = 1e-9
 
@@ -29,9 +31,14 @@ class UsageError(ValueError):
     """Unknown builtin name or bad command-line usage."""
 
 
-def close(x, y, tol: float = DEFAULT_TOL) -> bool:
-    """Compare scalars (real or complex) up to ``tol * max(1, |x|, |y|)``."""
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+def close(x, y, tol: float = DEFAULT_TOL):
+    """Elementwise ``|x - y| <= tol * max(1, |x|, |y|)`` for real or complex scalars or arrays."""
+    return np.abs(x - y) <= tol * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+
+
+def complex_pair(z: complex) -> list[float]:
+    """``[re, im]``, the JSON form of a complex number."""
+    return [float(z.real), float(z.imag)]
 
 
 class Violation(NamedTuple):
@@ -41,6 +48,17 @@ class Violation(NamedTuple):
     index: tuple
     lhs: object
     rhs: object
+
+
+def collect_violations(mask, axiom: str, lhs, rhs, out: list, prefix: tuple = ()) -> None:
+    """Append one :class:`Violation` per true entry of ``mask``, in row-major order.
+
+    The index is ``prefix`` followed by the entry's position; both sides are
+    read with ``.item()``, so integer arrays report Python ``int`` and complex
+    arrays Python ``complex``.
+    """
+    for idx in zip(*np.nonzero(mask)):
+        out.append(Violation(axiom, prefix + tuple(int(i) for i in idx), lhs[idx].item(), rhs[idx].item()))
 
 
 @dataclass(frozen=True)

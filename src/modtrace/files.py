@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .chars import DimChar
-from .common import StructuralError
+from .common import StructuralError, complex_pair
 from .fusion import FusionRing
 from .groups import GroupTable
 from .nimrep import NimRep
@@ -41,10 +41,6 @@ def round12_tree(data):
     return data
 
 
-def complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def dumps(data) -> str:
     """Canonical one-document JSON text: fixed key order, rounded floats."""
     return json.dumps(round12_tree(data), separators=(", ", ": "), sort_keys=False)
@@ -59,6 +55,8 @@ def _load_dict(path) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: not valid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise StructuralError(f"{path}: not UTF-8 text ({exc})") from None
     if not isinstance(data, dict):
         raise StructuralError(f"{path}: expected a JSON object")
     return data
@@ -72,17 +70,13 @@ def _require(data: dict, keys: list[str], what: str) -> None:
 
 # -- rings --------------------------------------------------------------
 
-def ring_to_dict(ring: FusionRing) -> dict:
-    return ring.to_dict()
-
-
 def ring_from_dict(data: dict) -> FusionRing:
     _require(data, ["rank", "labels", "unit", "dual", "N"], "ring")
     return FusionRing(data["rank"], data["labels"], data["unit"], data["dual"], data["N"])
 
 
 def save_ring(ring: FusionRing, path) -> None:
-    save_json(ring_to_dict(ring), path)
+    save_json(ring.to_dict(), path)
 
 
 def load_ring(path) -> FusionRing:
@@ -151,17 +145,13 @@ def load_module(path, ring: FusionRing) -> NimRep:
 
 # -- groups -------------------------------------------------------------
 
-def group_to_dict(table: GroupTable) -> dict:
-    return table.to_dict()
-
-
 def group_from_dict(data: dict) -> GroupTable:
     _require(data, ["order", "mul"], "group")
     return GroupTable(data["order"], data["mul"])
 
 
 def save_group(table: GroupTable, path) -> None:
-    save_json(group_to_dict(table), path)
+    save_json(table.to_dict(), path)
 
 
 def load_group(path) -> GroupTable:

@@ -20,6 +20,7 @@ from .common import (
     PreconditionError,
     StructuralError,
     UnsupportedError,
+    complex_pair,
 )
 from .chars import DimChar
 from .fusion import FusionRing
@@ -47,8 +48,6 @@ class FrobeniusReport:
     multiplicities: np.ndarray  #: multiplicity of each ring simple in <m, m>
     dim_a: float
     haploid: bool
-    beta_1: float
-    beta_a: float
     positivity_ok: bool
 
     def to_dict(self) -> dict:
@@ -57,8 +56,8 @@ class FrobeniusReport:
             "multiplicities": [int(x) for x in self.multiplicities],
             "dimA": self.dim_a,
             "haploid": self.haploid,
-            "beta1": self.beta_1,
-            "betaA": self.beta_a,
+            "beta1": self.dim_a,
+            "betaA": 1.0,
             "positivity_ok": self.positivity_ok,
         }
 
@@ -86,8 +85,6 @@ def frobenius_report(
         multiplicities=mults,
         dim_a=dim_a,
         haploid=bool(mults[ring.unit] == 1),
-        beta_1=dim_a,
-        beta_a=1.0,
         positivity_ok=dim_a > tol,
     )
 
@@ -104,7 +101,7 @@ class MoritaRescaleReport:
     def to_dict(self) -> dict:
         return {
             "object": self.object_index,
-            "scale": [float(self.scale.real), float(self.scale.imag)],
+            "scale": complex_pair(self.scale),
             "max_residual": self.max_residual,
             "ok": self.ok,
         }

@@ -19,13 +19,8 @@ from .common import (
     StructuralError,
     ValidationReport,
     Violation,
+    collect_violations,
 )
-
-#: Iteration budget and relative residual for the power iteration.
-POWER_ITER_BUDGET = 10**6
-POWER_ITER_TOL = 1e-12
-
-FusionReport = ValidationReport
 
 
 def _int_array(data, name: str, shape: tuple | None = None) -> np.ndarray:
@@ -33,12 +28,13 @@ def _int_array(data, name: str, shape: tuple | None = None) -> np.ndarray:
         arr = np.asarray(data)
     except ValueError as exc:
         raise StructuralError(f"{name} is not a rectangular array: {exc}") from None
-    if arr.dtype == object or not np.issubdtype(arr.dtype, np.number):
+    if arr.dtype.kind not in "iuf":
         raise StructuralError(f"{name} must be an integer array")
-    if np.issubdtype(arr.dtype, np.floating):
+    if arr.dtype.kind == "f":
         rounded = np.rint(arr)
-        if not np.array_equal(rounded, arr):
-            raise StructuralError(f"{name} must contain integers only")
+        # the range test also rejects inf and nan
+        if not (np.all(np.abs(arr) < 2.0**63) and np.array_equal(rounded, arr)):
+            raise StructuralError(f"{name} must contain integers within the int64 range only")
         arr = rounded
     arr = arr.astype(np.int64)
     if shape is not None and arr.shape != shape:
@@ -64,7 +60,7 @@ class FusionRing:
     N: np.ndarray
 
     def __post_init__(self):
-        n = int(self.rank)
+        n = int(_int_array(self.rank, "rank", ()))
         if n < 1:
             raise StructuralError("rank must be a positive integer")
         object.__setattr__(self, "rank", n)
@@ -72,7 +68,7 @@ class FusionRing:
         if len(labels) != n:
             raise StructuralError(f"expected {n} labels, got {len(labels)}")
         object.__setattr__(self, "labels", labels)
-        unit = int(self.unit)
+        unit = int(_int_array(self.unit, "unit", ()))
         if not 0 <= unit < n:
             raise StructuralError(f"unit index {unit} out of range")
         object.__setattr__(self, "unit", unit)
@@ -123,17 +119,13 @@ class FusionRing:
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
 
 
-def _collect(mask: np.ndarray, axiom: str, lhs: np.ndarray, rhs: np.ndarray, out: list):
-    for idx in zip(*np.nonzero(mask)):
-        out.append(Violation(axiom, tuple(int(i) for i in idx), int(lhs[idx]), int(rhs[idx])))
-
-
-def validate_fusion_ring(ring: FusionRing) -> FusionReport:
+def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     """Check every ring axiom exhaustively and report all violations.
 
     Checked: unit law, duality (involution, self-dual unit, pairing with the
     unit), Frobenius reciprocity and associativity.  Everything is done in
-    exact integer arithmetic.
+    exact integer arithmetic; associativity is compared one first index ``a``
+    at a time, so memory stays O(n^3).
     """
     n, N, dual, unit = ring.rank, ring.N, ring.dual, ring.unit
     if N.shape != (n, n, n) or dual.shape != (n,):
@@ -143,31 +135,33 @@ def validate_fusion_ring(ring: FusionRing) -> FusionReport:
     viols: list[Violation] = []
 
     eye = np.eye(n, dtype=np.int64)
-    _collect(N[unit] != eye, "unit_left", N[unit], eye, viols)
-    _collect(N[:, unit, :] != eye, "unit_right", N[:, unit, :], eye, viols)
+    collect_violations(N[unit] != eye, "unit_left", N[unit], eye, viols)
+    collect_violations(N[:, unit, :] != eye, "unit_right", N[:, unit, :], eye, viols)
 
     invol = dual[dual]
     ids = np.arange(n)
-    _collect(invol != ids, "dual_involution", invol, ids, viols)
+    collect_violations(invol != ids, "dual_involution", invol, ids, viols)
     if dual[unit] != unit:
         viols.append(Violation("dual_unit", (unit,), int(dual[unit]), unit))
     # pairing with the unit: N[a][b][unit] = 1 iff b = dual(a)
     pairing = N[:, :, unit]
     expected = np.zeros((n, n), dtype=np.int64)
     expected[ids, dual] = 1
-    _collect(pairing != expected, "dual_pairing", pairing, expected, viols)
+    collect_violations(pairing != expected, "dual_pairing", pairing, expected, viols)
 
     # Frobenius reciprocity: N[a][b][c] = N[a*][c][b] = N[c][b*][a]
     recip1 = N[dual][:, :, :].transpose(0, 2, 1)  # N[a*][c][b] indexed (a,b,c)
-    _collect(N != recip1, "frobenius_reciprocity", N, recip1, viols)
+    collect_violations(N != recip1, "frobenius_reciprocity", N, recip1, viols)
     recip2 = N[:, dual, :].transpose(2, 1, 0)  # N[c][b*][a] indexed (a,b,c)
-    _collect(N != recip2, "frobenius_reciprocity", N, recip2, viols)
+    collect_violations(N != recip2, "frobenius_reciprocity", N, recip2, viols)
 
-    lhs = np.einsum("abe,ecd->abcd", N, N)
-    rhs = np.einsum("bcf,afd->abcd", N, N)
-    _collect(lhs != rhs, "associativity", lhs, rhs, viols)
+    # (a b) c = a (b c), indexed (b, c, d) for each a
+    for a in range(n):
+        lhs = np.einsum("be,ecd->bcd", N[a], N)
+        rhs = np.einsum("bcf,fd->bcd", N, N[a])
+        collect_violations(lhs != rhs, "associativity", lhs, rhs, viols, (a,))
 
-    return FusionReport(tuple(viols))
+    return ValidationReport(tuple(viols))
 
 
 def fusion_matrices(ring: FusionRing) -> list[np.ndarray]:
@@ -179,29 +173,20 @@ def fusion_matrices(ring: FusionRing) -> list[np.ndarray]:
     return [ring.N[a].T.copy() for a in range(ring.rank)]
 
 
-def perron_vector(
-    mat: np.ndarray,
-    tol: float = POWER_ITER_TOL,
-    budget: int = POWER_ITER_BUDGET,
-) -> tuple[float, np.ndarray]:
+def perron_vector(mat: np.ndarray) -> tuple[float, np.ndarray]:
     """Perron eigenpair of a symmetric non-negative irreducible matrix.
 
-    Power iteration seeded with the all-ones vector; converges when
-    ``max|A v - lam v| < tol * lam``.  Returns the eigenvalue and the
-    2-normalised non-negative eigenvector.
+    The top eigenpair of a symmetric eigendecomposition; returns the
+    eigenvalue and the 2-normalised non-negative eigenvector.
     """
     a = np.asarray(mat, dtype=float)
-    k = a.shape[0]
-    v = np.ones(k) / np.sqrt(k)
-    for _ in range(budget):
-        w = a @ v
-        lam = float(v @ w)
-        if lam <= 0.0:
-            raise NumericError("power iteration collapsed to a non-positive value")
-        if np.max(np.abs(w - lam * v)) < tol * lam:
-            return lam, v
-        v = w / np.linalg.norm(w)
-    raise NumericError(f"power iteration did not converge within {budget} steps")
+    if not np.array_equal(a, a.T):
+        raise NumericError("Perron vector needs a symmetric matrix")
+    vals, vecs = np.linalg.eigh(a)
+    lam = float(vals[-1])
+    if lam <= 0.0:
+        raise NumericError("Perron eigenvalue is not positive")
+    return lam, np.abs(vecs[:, -1])
 
 
 def fp_dimensions(ring: FusionRing) -> np.ndarray:

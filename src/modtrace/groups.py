@@ -44,7 +44,7 @@ class GroupTable:
     inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        g = int(self.order)
+        g = int(_int_array(self.order, "order", ()))
         if g < 1:
             raise StructuralError("group order must be positive")
         object.__setattr__(self, "order", g)

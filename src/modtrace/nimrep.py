@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import StructuralError, ValidationReport, Violation
+from .common import StructuralError, ValidationReport, Violation, collect_violations
 from .fusion import FusionRing, _int_array, fusion_matrices
 
 
@@ -28,7 +28,7 @@ class NimRep:
     M: np.ndarray
 
     def __post_init__(self):
-        k = int(self.module_rank)
+        k = int(_int_array(self.module_rank, "module_rank", ()))
         if k < 1:
             raise StructuralError("module_rank must be a positive integer")
         object.__setattr__(self, "module_rank", k)
@@ -60,29 +60,21 @@ def validate_nimrep(rep: NimRep) -> ValidationReport:
     viols: list[Violation] = []
 
     eye = np.eye(k, dtype=np.int64)
-    for idx in zip(*np.nonzero(M[ring.unit] != eye)):
-        j, i = (int(x) for x in idx)
-        viols.append(Violation("unit", (j, i), int(M[ring.unit, j, i]), int(eye[j, i])))
+    collect_violations(M[ring.unit] != eye, "unit", M[ring.unit], eye, viols)
 
+    # M_u M_v = sum_w N[u][v][w] M_w, indexed (v, j, i) for each u
     for u in range(n):
-        for v in range(n):
-            lhs = M[u] @ M[v]
-            rhs = np.einsum("w,wji->ji", ring.N[u, v], M)
-            for idx in zip(*np.nonzero(lhs != rhs)):
-                j, i = (int(x) for x in idx)
-                viols.append(Violation("composition", (u, v, j, i), int(lhs[j, i]), int(rhs[j, i])))
+        lhs = M[u] @ M
+        rhs = np.einsum("vw,wji->vji", ring.N[u], M)
+        collect_violations(lhs != rhs, "composition", lhs, rhs, viols, (u,))
 
-    for u in range(n):
-        diff = M[ring.dual[u]] != M[u].T
-        for idx in zip(*np.nonzero(diff)):
-            j, i = (int(x) for x in idx)
-            viols.append(
-                Violation("duality", (u, j, i), int(M[ring.dual[u], j, i]), int(M[u, i, j]))
-            )
+    dual_M, transposed = M[ring.dual], M.transpose(0, 2, 1)
+    collect_violations(dual_M != transposed, "duality", dual_M, transposed, viols)
 
     column_weight = rep.action_sum().sum(axis=0)
-    for i in np.nonzero(column_weight == 0)[0]:
-        viols.append(Violation("action", (int(i),), 0, "positive column sum"))
+    collect_violations(
+        column_weight == 0, "action", column_weight, np.full(k, "positive column sum"), viols
+    )
 
     return ValidationReport(tuple(viols))
 

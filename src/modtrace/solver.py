@@ -25,6 +25,7 @@ from .common import (
     NumericError,
     StructuralError,
     UnsupportedError,
+    complex_pair,
 )
 from .chars import DimChar, c_invariant, global_dimension
 from .fusion import FusionRing, fp_dimensions, perron_vector
@@ -37,10 +38,6 @@ INCONCLUSIVE = "inconclusive-numeric"
 
 #: Tolerance of the C-invariant dichotomy (C = dim(C) or C = 0).
 DICHOTOMY_TOL = 1e-7
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +64,11 @@ def dimension_matrix(ring: FusionRing, char: DimChar, rep: NimRep) -> DimensionM
         raise StructuralError("ring references of character and module disagree")
     q = np.einsum("u,ujk->jk", char.d, rep.M.astype(complex))
     return DimensionMatrix(q)
+
+
+def _structural_residuals(m: np.ndarray, dim_c: float) -> tuple[float, float]:
+    """``max |Q - Q^dagger|`` and ``max |Q^2 - dim(C) Q|``."""
+    return float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m @ m - dim_c * m)))
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,7 @@ def q_property_report(
     """Check ``Q^2 = dim(C) Q``, hermiticity, and the 0/dim(C) eigenvalue dichotomy."""
     m = q.Q
     scale = max(1.0, float(np.max(np.abs(m))))
-    residual_square = float(np.max(np.abs(m @ m - dim_c * m)))
-    residual_hermitian = float(np.max(np.abs(m - m.conj().T)))
+    residual_hermitian, residual_square = _structural_residuals(m, dim_c)
     eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     eigen_deviation = float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - dim_c))))
     return QPropertyReport(residual_square, residual_hermitian, eigen_deviation, scale, tol)
@@ -147,23 +148,18 @@ class TraceCertificate:
     dim_c: float
     c: complex
     spherical_by_c: bool
-    left_eigen_residual: float | None
     diagnostics: tuple[str, ...]
     residuals: dict = field(default_factory=dict)
-
-    @property
-    def d_m(self) -> np.ndarray | None:
-        return None if self.trace is None else self.trace.d
 
     def to_dict(self) -> dict:
         out = {
             "matched": self.matched,
             "dimC": self.dim_c,
-            "C": _pair(self.c),
+            "C": complex_pair(self.c),
             "spherical_by_C": self.spherical_by_c,
         }
         if self.trace is not None:
-            out["d"] = [_pair(z) for z in self.trace.d]
+            out["d"] = [complex_pair(z) for z in self.trace.d]
             out["anchor"] = self.trace.anchor
         out["residuals"] = dict(self.residuals)
         out["diagnostics"] = list(self.diagnostics)
@@ -211,22 +207,21 @@ def solve_module_trace(
     if m[p, p].real <= tol:
         diagnostics.append("zero diagonal")
 
+    hermitian, q_square = _structural_residuals(m, dim_c)
     residuals = {
-        "hermitian": float(np.max(np.abs(m - m.conj().T))),
-        "q_square": float(np.max(np.abs(m @ m - dim_c * m))),
+        "hermitian": hermitian,
+        "q_square": q_square,
         "max_minor": max_minor,
         "min_entry": min_entry,
     }
 
     matched = not diagnostics
     trace = None
-    left_residual = None
     if matched:
         d = m[:, p] / np.sqrt(m[p, p].real)
         trace = ModuleTrace(d, p, dim_c)
         residuals["right_eigen"] = float(np.max(np.abs(m @ d - dim_c * d)))
-        left_residual = float(np.max(np.abs(m.T @ d - c * d)))
-        residuals["left_eigen"] = left_residual
+        residuals["left_eigen"] = float(np.max(np.abs(m.T @ d - c * d)))
         residuals["reconstruction"] = float(np.max(np.abs(m - np.outer(d, d.conj()))))
 
     return TraceCertificate(
@@ -236,7 +231,6 @@ def solve_module_trace(
         dim_c=dim_c,
         c=c,
         spherical_by_c=abs(c - dim_c) < tol,
-        left_eigen_residual=left_residual,
         diagnostics=tuple(diagnostics),
         residuals=residuals,
     )
@@ -314,7 +308,7 @@ class SphericalReport:
 
     def to_dict(self) -> dict:
         return {
-            "C": _pair(self.c),
+            "C": complex_pair(self.c),
             "dimC": self.dim_c,
             "verdict": self.verdict,
             "witness": self.witness,

@@ -135,3 +135,74 @@ def diagnostics_bruteforce(Q: np.ndarray, tol: float = mt.DEFAULT_TOL) -> tuple[
     if np.max(np.diag(Q).real) <= tol:
         out.append("zero diagonal")
     return tuple(out)
+
+
+def _collect_full(mask, axiom, lhs, rhs, out):
+    for idx in zip(*np.nonzero(mask)):
+        out.append(mt.Violation(axiom, tuple(int(i) for i in idx), int(lhs[idx]), int(rhs[idx])))
+
+
+def fusion_violations_reference(ring) -> list:
+    """``validate_fusion_ring`` with associativity compared as two full n^4 tensors.
+
+    An oracle for the chunked validator on small rings only.
+    """
+    n, N, dual, unit = ring.rank, ring.N, ring.dual, ring.unit
+    viols = []
+    eye = np.eye(n, dtype=np.int64)
+    _collect_full(N[unit] != eye, "unit_left", N[unit], eye, viols)
+    _collect_full(N[:, unit, :] != eye, "unit_right", N[:, unit, :], eye, viols)
+    invol = dual[dual]
+    ids = np.arange(n)
+    _collect_full(invol != ids, "dual_involution", invol, ids, viols)
+    if dual[unit] != unit:
+        viols.append(mt.Violation("dual_unit", (unit,), int(dual[unit]), unit))
+    pairing = N[:, :, unit]
+    expected = np.zeros((n, n), dtype=np.int64)
+    expected[ids, dual] = 1
+    _collect_full(pairing != expected, "dual_pairing", pairing, expected, viols)
+    recip1 = N[dual].transpose(0, 2, 1)
+    _collect_full(N != recip1, "frobenius_reciprocity", N, recip1, viols)
+    recip2 = N[:, dual, :].transpose(2, 1, 0)
+    _collect_full(N != recip2, "frobenius_reciprocity", N, recip2, viols)
+    lhs = np.einsum("abe,ecd->abcd", N, N)
+    rhs = np.einsum("bcf,afd->abcd", N, N)
+    _collect_full(lhs != rhs, "associativity", lhs, rhs, viols)
+    return viols
+
+
+def nimrep_violations_reference(rep) -> list:
+    """``validate_nimrep`` with composition checked per ``(u, v)`` pair and
+    duality per ``u``, entry by entry."""
+    ring, M, k = rep.ring, rep.M, rep.module_rank
+    n = ring.rank
+    viols = []
+    eye = np.eye(k, dtype=np.int64)
+    for j, i in zip(*np.nonzero(M[ring.unit] != eye)):
+        viols.append(mt.Violation("unit", (int(j), int(i)), int(M[ring.unit, j, i]), int(eye[j, i])))
+    for u in range(n):
+        for v in range(n):
+            lhs = M[u] @ M[v]
+            rhs = np.einsum("w,wji->ji", ring.N[u, v], M)
+            for j, i in zip(*np.nonzero(lhs != rhs)):
+                viols.append(
+                    mt.Violation("composition", (u, v, int(j), int(i)), int(lhs[j, i]), int(rhs[j, i]))
+                )
+    for u in range(n):
+        for j, i in zip(*np.nonzero(M[ring.dual[u]] != M[u].T)):
+            viols.append(
+                mt.Violation("duality", (u, int(j), int(i)), int(M[ring.dual[u], j, i]), int(M[u, i, j]))
+            )
+    column_weight = rep.action_sum().sum(axis=0)
+    for i in np.nonzero(column_weight == 0)[0]:
+        viols.append(mt.Violation("action", (int(i),), 0, "positive column sum"))
+    return viols
+
+
+def typed_violations(viols) -> list:
+    """Violations with the type of every index and side made explicit, since
+    ``1 == 1.0`` would hide a changed type."""
+    return [
+        (v.axiom, [(type(i), i) for i in v.index], type(v.lhs), v.lhs, type(v.rhs), v.rhs)
+        for v in viols
+    ]

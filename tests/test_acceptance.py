@@ -73,7 +73,7 @@ def test_criterion_3_eigenvector_contracts():
         m = cert.Q.Q
         assert np.max(np.abs(m @ d - cert.dim_c * d)) < 1e-8, label
         assert np.max(np.abs(m.T @ d - cert.c * d)) < 1e-8, label
-        assert cert.left_eigen_residual < 1e-8, label
+        assert cert.residuals["left_eigen"] < 1e-8, label
         spherical = mt.is_spherical(char)
         if spherical:
             assert abs(cert.c - cert.dim_c) < 1e-7, label

@@ -241,3 +241,42 @@ def test_invalid_module_file_exits_2(fib_dir, tmp_path):
     )
     assert code == 2
     assert "invalid module" in err
+
+
+# (emitted file to edit, text to replace, replacement) per malformed input
+MALFORMED_FIELDS = {
+    "rank-string": ("fib/ring.json", '"rank": 2', '"rank": "two"'),
+    "rank-overflow": ("fib/ring.json", '"rank": 2', '"rank": 1e400'),
+    "rank-list": ("fib/ring.json", '"rank": 2', '"rank": [2]'),
+    "rank-fraction": ("fib/ring.json", '"rank": 2', '"rank": 2.5'),
+    "unit-string": ("fib/ring.json", '"unit": 0', '"unit": "zero"'),
+    "module-rank-string": ("fib/module-regular.json", '"module_rank": 2', '"module_rank": "two"'),
+    "order-string": ("z2/group.json", '"order": 2', '"order": "x"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS) + ["not-utf8", "directory"])
+def test_malformed_input_exits_2_with_one_line(case, fib_dir, z2_dir, tmp_path):
+    ring = str(fib_dir / "ring.json")
+    if case == "not-utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"rank": "\xff"}')
+        argv = ["validate", str(path)]
+    elif case == "directory":
+        argv = ["validate", str(tmp_path)]
+    else:
+        name, old, new = MALFORMED_FIELDS[case]
+        path = tmp_path / name
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        if name.endswith("module-regular.json"):
+            argv = ["trace", ring, "--char", "0", "--module", str(path)]
+        elif name.endswith("group.json"):
+            argv = ["vectg", "--group", str(path)]
+        else:
+            argv = ["validate", str(path)]
+    code, out, err = invoke(*argv)
+    assert code == 2, (out, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err

@@ -42,8 +42,8 @@ def test_frobenius_report_fibonacci():
     assert abs(report.dim_a - PHI**2) < 1e-10
     assert report.haploid
     assert report.positivity_ok
-    assert report.beta_1 == report.dim_a
-    assert report.beta_a == 1.0
+    assert report.to_dict()["beta1"] == report.dim_a
+    assert report.to_dict()["betaA"] == 1.0
     assert np.array_equal(report.multiplicities, [1, 1])
 
 
