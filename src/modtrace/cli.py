@@ -247,9 +247,9 @@ def _cmd_vectg(args, out) -> int:
     table = _load_group(args.group)
     abelian = table.is_abelian()
     subs = subgroups(table)
-    chars = group_characters(table) if abelian else []
     if args.characters and not abelian:
         raise UnsupportedError("characters are only enumerated for abelian groups")
+    chars = group_characters(table) if abelian and (args.characters or args.emit) else []
     written = []
     if args.emit:
         modules = [(f"module-H{idx:02d}.json", vect_g_module(table, sub)) for idx, sub in enumerate(subs)]

@@ -36,6 +36,17 @@ def close(x, y, tol: float = DEFAULT_TOL):
     return np.abs(x - y) <= tol * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
 
 
+def require_float_exact(bound: int, what: str) -> None:
+    """Refuse an exact integer check whose float64 products could reach ``2**53``.
+
+    ``bound`` is an upper bound on every sum of non-negative integer products
+    the check forms; below ``2**53`` each partial sum is an integer float64
+    represents exactly, so BLAS results equal the integer ones.
+    """
+    if bound >= 2**53:
+        raise StructuralError(f"{what} too large for exact validation (bound {bound} >= 2^53)")
+
+
 def complex_pair(z: complex) -> list[float]:
     """``[re, im]``, the JSON form of a complex number."""
     return [float(z.real), float(z.imag)]

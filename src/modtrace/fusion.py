@@ -2,8 +2,9 @@
 
 A fusion ring is given by a finite set of simple classes with non-negative
 integer structure constants ``N[a][b][c]`` (multiplicity of ``c`` in
-``a * b``), a unit and a duality involution.  All ring axioms are checked in
-exact integer arithmetic; only dimensions are floating point.
+``a * b``), a unit and a duality involution.  All ring axioms are checked
+exactly (products in float64 only while provably below 2^53); only
+dimensions are floating point.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .common import (
     ValidationReport,
     Violation,
     collect_violations,
+    require_float_exact,
 )
 
 
@@ -93,8 +95,12 @@ class FusionRing:
         }
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=False)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        """First 12 hex digits of the SHA-256 of the compact JSON form; computed once per ring."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            blob = json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=False)
+            cached = self.__dict__["_hash"] = hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return cached
 
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.N, self.N.transpose(1, 0, 2)))
@@ -123,15 +129,19 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     """Check every ring axiom exhaustively and report all violations.
 
     Checked: unit law, duality (involution, self-dual unit, pairing with the
-    unit), Frobenius reciprocity and associativity.  Everything is done in
-    exact integer arithmetic; associativity is compared one first index ``a``
-    at a time, so memory stays O(n^3).
+    unit), Frobenius reciprocity and associativity.  Everything is exact:
+    associativity is compared one first index ``a`` at a time (O(n^3)
+    memory) with float64 matrix products, which are exact because every sum
+    is at most ``n * max(N)^2``; a ring where that reaches ``2^53`` is
+    refused with :class:`StructuralError`.
     """
     n, N, dual, unit = ring.rank, ring.N, ring.dual, ring.unit
     if N.shape != (n, n, n) or dual.shape != (n,):
         raise StructuralError("array shapes inconsistent with rank")
     if N.min() < 0:
         raise StructuralError("negative structure constant")
+    top = int(N.max())
+    require_float_exact(n * top * top, "structure constants")
     viols: list[Violation] = []
 
     eye = np.eye(n, dtype=np.int64)
@@ -156,10 +166,15 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     collect_violations(N != recip2, "frobenius_reciprocity", N, recip2, viols)
 
     # (a b) c = a (b c), indexed (b, c, d) for each a
+    F = N.astype(np.float64)
     for a in range(n):
-        lhs = np.einsum("be,ecd->bcd", N[a], N)
-        rhs = np.einsum("bcf,fd->bcd", N, N[a])
-        collect_violations(lhs != rhs, "associativity", lhs, rhs, viols, (a,))
+        lhs = (F[a] @ F.reshape(n, n * n)).reshape(n, n, n)
+        rhs = (F.reshape(n * n, n) @ F[a]).reshape(n, n, n)
+        mask = lhs != rhs
+        if mask.any():
+            collect_violations(
+                mask, "associativity", lhs.astype(np.int64), rhs.astype(np.int64), viols, (a,)
+            )
 
     return ValidationReport(tuple(viols))
 

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import StructuralError, ValidationReport, Violation, collect_violations
+from .common import (
+    StructuralError,
+    ValidationReport,
+    Violation,
+    collect_violations,
+    require_float_exact,
+)
 from .fusion import FusionRing, _int_array, fusion_matrices
 
 
@@ -52,21 +58,35 @@ class NimRep:
 
 
 def validate_nimrep(rep: NimRep) -> ValidationReport:
-    """Check the unit, composition, duality and action axioms exhaustively."""
+    """Check the unit, composition, duality and action axioms exhaustively.
+
+    Composition is compared one ``u`` at a time with float64 matrix
+    products, exact because every sum is at most
+    ``max(k * max(M)^2, n * max(N) * max(M))``; a rep where that reaches
+    ``2^53`` is refused with :class:`StructuralError`.
+    """
     ring, M, k = rep.ring, rep.M, rep.module_rank
     n = ring.rank
     if M.shape != (n, k, k):
         raise StructuralError("matrix shapes inconsistent with ranks")
+    top_m, top_n = int(M.max()), int(ring.N.max())
+    require_float_exact(max(k * top_m * top_m, n * top_n * top_m), "multiplicities")
     viols: list[Violation] = []
 
     eye = np.eye(k, dtype=np.int64)
     collect_violations(M[ring.unit] != eye, "unit", M[ring.unit], eye, viols)
 
     # M_u M_v = sum_w N[u][v][w] M_w, indexed (v, j, i) for each u
+    Nf, Mf = ring.N.astype(np.float64), M.astype(np.float64)
+    Mf_rows = Mf.transpose(1, 0, 2).reshape(k, n * k)  # [l, (v, i)] = M[v, l, i]
     for u in range(n):
-        lhs = M[u] @ M
-        rhs = np.einsum("vw,wji->vji", ring.N[u], M)
-        collect_violations(lhs != rhs, "composition", lhs, rhs, viols, (u,))
+        lhs = (Mf[u] @ Mf_rows).reshape(k, n, k).transpose(1, 0, 2)
+        rhs = (Nf[u] @ Mf.reshape(n, k * k)).reshape(n, k, k)
+        mask = lhs != rhs
+        if mask.any():
+            collect_violations(
+                mask, "composition", lhs.astype(np.int64), rhs.astype(np.int64), viols, (u,)
+            )
 
     dual_M, transposed = M[ring.dual], M.transpose(0, 2, 1)
     collect_violations(dual_M != transposed, "duality", dual_M, transposed, viols)

@@ -169,6 +169,38 @@ def test_vectg_subgroups_listing():
     assert payload["subgroups"] == [[0], [0, 2], [0, 1, 2, 3]]
 
 
+def test_vectg_computes_characters_only_when_asked(monkeypatch):
+    import modtrace.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError("group_characters called without --characters or --emit")
+
+    monkeypatch.setattr(cli_mod, "group_characters", boom)
+    code, out, _ = invoke("vectg", "--group", "Z:4", "--subgroups", "--json")
+    assert code == 0
+    assert json.loads(out)["subgroup_count"] == 3
+
+
+@pytest.mark.parametrize("what", ["ring", "module"])
+def test_input_beyond_float_exact_bound_exits_2(what, fib_dir):
+    ring_path, module_path = fib_dir / "ring.json", fib_dir / "module-regular.json"
+    ring = files.load_ring(ring_path)
+    if what == "ring":
+        N = ring.N.copy()
+        N[1, 1, 1] = 2**40
+        files.save_ring(mt.FusionRing(2, ring.labels, 0, ring.dual, N), ring_path)
+        argv = ["validate", str(ring_path)]
+    else:
+        M = files.load_module(module_path, ring).M.copy()
+        M[1, 1, 1] = 2**40
+        files.save_module(mt.NimRep(ring, 2, M), module_path)
+        argv = ["trace", str(ring_path), "--char", "0", "--module", str(module_path)]
+    code, out, err = invoke(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "2^53" in err and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_2(fib_dir):
     code, _, _ = invoke("validate", str(fib_dir / "ring.json"), "--bogus")
     assert code == 2

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -146,6 +148,14 @@ def test_ring_equality_and_hash():
     assert r1.content_hash() == r2.content_hash()
     assert r1 != r3
     assert r1.content_hash() != r3.content_hash()
+
+
+def test_content_hash_is_computed_once_and_unchanged():
+    ring = mt.builtin("zn:6")[0]
+    first = ring.content_hash()
+    assert ring.content_hash() is first
+    blob = json.dumps(ring.to_dict(), separators=(",", ":"), sort_keys=False)
+    assert first == hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def test_unit_law_violation_reported():

@@ -22,50 +22,92 @@ def _ring(name):
     return mt.builtin(name)[0]
 
 
-def _corrupt(arr, rng):
-    """A copy with one to three entries set to random small values."""
+def _corrupt(arr, rng, high=3):
+    """A copy with one to three entries set to random values below ``high``."""
     out = arr.copy()
     flat = out.reshape(-1)
     for pos in rng.choice(flat.size, size=min(flat.size, rng.integers(1, 4)), replace=False):
-        flat[pos] = rng.integers(0, 3)
+        flat[pos] = rng.integers(0, high)
     return out
+
+
+def _ring_trials(ring, rng, trials, high=3) -> set:
+    """Compare ``trials`` seeded corruptions of ``ring`` with the reference; returns the axioms seen."""
+    seen = set()
+    for trial in range(trials):
+        dual = ring.dual.copy()
+        if trial % 5 == 4 and ring.rank > 1:
+            a, b = rng.choice(ring.rank, size=2, replace=False)
+            dual[[a, b]] = dual[[b, a]]
+        broken = mt.FusionRing(ring.rank, ring.labels, ring.unit, dual, _corrupt(ring.N, rng, high))
+        got = mt.validate_fusion_ring(broken).violations
+        expected = fusion_violations_reference(broken)
+        assert typed_violations(got) == typed_violations(expected)
+        seen.update(v.axiom for v in expected)
+    return seen
+
+
+def _nimrep_trials(rep, rng, trials, high=3) -> set:
+    """Compare ``trials`` seeded corruptions of ``rep`` with the reference; returns the axioms seen."""
+    seen = set()
+    for trial in range(trials):
+        M = _corrupt(rep.M, rng, high)
+        if trial % 5 == 4:
+            M[:, :, rng.integers(rep.module_rank)] = 0
+        broken = mt.NimRep(rep.ring, rep.module_rank, M)
+        got = mt.validate_nimrep(broken).violations
+        expected = nimrep_violations_reference(broken)
+        assert typed_violations(got) == typed_violations(expected)
+        seen.update(v.axiom for v in expected)
+    return seen
 
 
 @pytest.mark.parametrize("name", RINGS)
 def test_ring_violations_match_full_tensor_reference(name):
     ring = _ring(name)
-    rng = np.random.default_rng(sum(map(ord, name)))
-    seen = set()
-    for trial in range(20):
-        dual = ring.dual.copy()
-        if trial % 5 == 4 and ring.rank > 1:
-            a, b = rng.choice(ring.rank, size=2, replace=False)
-            dual[[a, b]] = dual[[b, a]]
-        broken = mt.FusionRing(ring.rank, ring.labels, ring.unit, dual, _corrupt(ring.N, rng))
-        got = mt.validate_fusion_ring(broken).violations
-        expected = fusion_violations_reference(broken)
-        assert typed_violations(got) == typed_violations(expected)
-        seen.update(v.axiom for v in expected)
+    seen = _ring_trials(ring, np.random.default_rng(sum(map(ord, name))), 20)
     assert "associativity" in seen or ring.rank == 1
 
 
 @pytest.mark.parametrize("name", RINGS)
 def test_nimrep_violations_match_pairwise_reference(name):
     ring = _ring(name)
-    rep = mt.regular_module(ring)
-    rng = np.random.default_rng(sum(map(ord, name)) + 1)
-    seen = set()
-    for trial in range(20):
-        M = _corrupt(rep.M, rng)
-        if trial % 5 == 4:
-            M[:, :, rng.integers(rep.module_rank)] = 0
-        broken = mt.NimRep(ring, rep.module_rank, M)
-        got = mt.validate_nimrep(broken).violations
-        expected = nimrep_violations_reference(broken)
-        assert typed_violations(got) == typed_violations(expected)
-        seen.update(v.axiom for v in expected)
+    seen = _nimrep_trials(mt.regular_module(ring), np.random.default_rng(sum(map(ord, name)) + 1), 20)
     # a rank-1 module has a single symmetric entry, so duality cannot fail
     assert {"unit", "composition", "action"} | ({"duality"} if ring.rank > 1 else set()) <= seen
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_violations_match_reference_with_entries_up_to_2_20(name):
+    """The float64 products stay exact with corrupted entries up to 2^20."""
+    ring = _ring(name)
+    rng = np.random.default_rng(sum(map(ord, name)) + 2)
+    seen = _ring_trials(ring, rng, 5, 2**20 + 1)
+    seen |= _nimrep_trials(mt.regular_module(ring), rng, 5, 2**20 + 1)
+    assert "associativity" in seen or ring.rank == 1
+    assert "composition" in seen
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_violations_match_reference_beyond_rank_12(n):
+    """One seeded corruption of ``Z:n`` and of its regular module, for the per-index reshapes."""
+    ring = mt.builtin(f"zn:{n}")[0]
+    rng = np.random.default_rng(n)
+    assert "associativity" in _ring_trials(ring, rng, 1, 2**20 + 1)
+    assert "composition" in _nimrep_trials(mt.regular_module(ring), rng, 1, 2**20 + 1)
+
+
+def test_nimrep_violations_match_reference_when_module_rank_differs():
+    """Coset and direct-sum modules, where ``k != n`` would expose a swapped reshape."""
+    table = mt.cyclic_table(12)
+    reps = [mt.vect_g_module(table, H) for H in mt.subgroups(table)]
+    fib = mt.builtin("fibonacci")[0]
+    reps.append(mt.direct_sum(mt.regular_module(fib), mt.regular_module(fib)))
+    rng = np.random.default_rng(12)
+    for rep in reps:
+        _nimrep_trials(rep, rng, 5)
+        _nimrep_trials(rep, rng, 2, 2**20 + 1)
+    assert {rep.module_rank for rep in reps} == {1, 2, 3, 4, 6, 12}
 
 
 def test_dim_char_violation_sides_are_python_scalars():
@@ -90,3 +132,49 @@ def test_ring_validation_memory_stays_cubic():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# -- exactness guard: every float64 partial sum must stay below 2^53 ----------
+
+
+def _z2_ring(top):
+    """The group ring of Z/2 with ``N[1][0][1]`` set to ``top``, so ``(x 1) 1 = top^2 x``."""
+    ring = mt.builtin("zn:2")[0]
+    N = ring.N.copy()
+    N[1, 0, 1] = top
+    return mt.FusionRing(2, ring.labels, 0, ring.dual, N)
+
+
+def _z2_module(top):
+    """The regular module of Z/2 with ``M[1][1][1]`` set to ``top``."""
+    rep = mt.regular_module(mt.builtin("zn:2")[0])
+    M = rep.M.copy()
+    M[1, 1, 1] = top
+    return mt.NimRep(rep.ring, 2, M)
+
+
+def test_ring_beyond_float_exact_bound_is_refused():
+    N = mt.builtin("fibonacci")[0].N.copy()
+    N[1, 1, 1] = 2**40
+    with pytest.raises(mt.StructuralError, match="2\\^53"):
+        mt.validate_fusion_ring(mt.FusionRing(2, ("1", "t"), 0, [0, 1], N))
+    # rank 2: 2 * top^2 < 2^53 exactly when top < 2^26
+    with pytest.raises(mt.StructuralError):
+        mt.validate_fusion_ring(_z2_ring(2**26))
+    largest = _z2_ring(2**26 - 1)
+    got = mt.validate_fusion_ring(largest).violations
+    assert got and typed_violations(got) == typed_violations(fusion_violations_reference(largest))
+
+
+def test_module_beyond_float_exact_bound_is_refused():
+    rep = mt.regular_module(mt.builtin("fibonacci")[0])
+    M = rep.M.copy()
+    M[1, 1, 1] = 2**40
+    with pytest.raises(mt.StructuralError, match="2\\^53"):
+        mt.validate_nimrep(mt.NimRep(rep.ring, 2, M))
+    # k = 2: the bound is max(2 * top^2, 2 * 1 * top), below 2^53 exactly when top < 2^26
+    with pytest.raises(mt.StructuralError):
+        mt.validate_nimrep(_z2_module(2**26))
+    largest = _z2_module(2**26 - 1)
+    got = mt.validate_nimrep(largest).violations
+    assert got and typed_violations(got) == typed_violations(nimrep_violations_reference(largest))
