@@ -65,6 +65,14 @@ def s3_table() -> GroupTable:
     return GroupTable(6, mul, labels)
 
 
+def is_builtin_group(name: str) -> bool:
+    """True when ``name`` is meant for :func:`builtin_group` rather than a file.
+
+    A malformed ``Z:`` name counts, so that its bad order is reported.
+    """
+    return name.startswith("Z:") or name in BUILTIN_GROUPS
+
+
 def builtin_group(name: str) -> GroupTable:
     """Look up a builtin group: ``Z:<n>``, ``S3`` or ``Z2xZ2``."""
     if name.startswith("Z:"):

@@ -100,23 +100,29 @@ def char_sort_key(d: np.ndarray) -> tuple:
     all-positive Frobenius-Perron character first (its entries dominate the
     real part of every other character entrywise).
     """
-    return tuple((round(float(z.real), 9), round(float(z.imag), 9)) for z in d)
+    d = np.asarray(d)
+    return tuple((round(re, 9), round(im, 9)) for re, im in zip(d.real.tolist(), d.imag.tolist()))
 
 
-def _polish_character(ring: FusionRing, d: np.ndarray) -> np.ndarray:
+def _pair_system(ring: FusionRing) -> tuple:
+    """The ``a <= b`` index pairs, their row numbers and ``N[a, b]`` as complex rows."""
+    a, b = np.triu_indices(ring.rank)
+    return a, b, np.arange(a.size), ring.N[a, b].astype(complex)
+
+
+def _polish_character(ring: FusionRing, d: np.ndarray, pairs: tuple | None = None) -> np.ndarray:
     """Newton refinement of a near-character on the multiplicativity system.
 
     Keeps the unit entry pinned to 1 and takes damped full-system Gauss-Newton
     steps; the eigensolver start is already accurate, so this only sharpens
-    the last few digits.
+    the last few digits.  ``pairs`` is :func:`_pair_system` of ``ring``, built
+    here when not given.
     """
     n, unit = ring.rank, ring.unit
     if n == 1:
         return np.array([1.0 + 0.0j])
     free = np.arange(n) != unit
-    a, b = np.triu_indices(n)
-    rows = np.arange(a.size)
-    pair_N = ring.N[a, b].astype(complex)
+    a, b, rows, pair_N = _pair_system(ring) if pairs is None else pairs
     d = np.array(d, dtype=complex)
     d[unit] = 1.0
     prod = np.empty(a.size, dtype=complex)
@@ -153,6 +159,8 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
         raise UnsupportedError("character enumeration requires a commutative ring")
     n = ring.rank
     mats = [m.astype(float) for m in fusion_matrices(ring)]
+    stack = np.stack(mats)  # stack[a, k, :] is row k of N_a
+    pairs = _pair_system(ring)
 
     for seed in range(ENUMERATION_RETRIES):
         rng = np.random.default_rng(seed)
@@ -169,20 +177,20 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
         for i in range(n):
             v = vecs[:, i]
             k = int(np.argmax(np.abs(v)))
-            chi = np.array([(mat @ v)[k] / v[k] for mat in mats])
-            chars.append(snap_components(_polish_character(ring, chi)))
+            chi = stack[:, k, :] @ v / v[k]
+            chars.append(snap_components(_polish_character(ring, chi, pairs)))
 
-        keys = {char_sort_key(c) for c in chars}
-        if len(keys) != n:
+        keys = [char_sort_key(c) for c in chars]
+        if len(set(keys)) != n:
             continue  # two eigenvectors polished to the same character
 
         kept = []
-        for c in chars:
+        for key, c in zip(keys, chars):
             cand = DimChar(ring, c)
             if validate_dim_char(cand, tol).valid:
-                kept.append(cand)
-        kept.sort(key=lambda ch: char_sort_key(ch.d), reverse=True)
-        return kept
+                kept.append((key, cand))
+        kept.sort(key=lambda pair: pair[0], reverse=True)
+        return [cand for _, cand in kept]
 
     raise NumericError(
         f"degenerate eigenproblem after {ENUMERATION_RETRIES} reseeding attempts"
@@ -205,13 +213,22 @@ def is_spherical(char: DimChar, tol: float = DEFAULT_TOL) -> bool:
 
 
 def global_dimension(char: DimChar) -> float:
-    """``dim(C) = sum_a |d(a)|^2``; strictly positive."""
-    return float(np.sum(np.abs(char.d) ** 2))
+    """``dim(C) = sum_a |d(a)|^2``; strictly positive.  Computed once per character."""
+    dim_c = char.__dict__.get("_dim_c")
+    if dim_c is None:
+        dim_c = char.__dict__["_dim_c"] = float(np.sum(np.abs(char.d) ** 2))
+    return dim_c
 
 
 def c_invariant(char: DimChar) -> complex:
-    """``C = sum_a d(a)^2``; equals ``dim(C)`` for spherical characters, else 0."""
-    return complex(np.sum(char.d**2))
+    """``C = sum_a d(a)^2``; equals ``dim(C)`` for spherical characters, else 0.
+
+    Computed once per character.
+    """
+    c = char.__dict__.get("_c")
+    if c is None:
+        c = char.__dict__["_c"] = complex(np.sum(char.d**2))
+    return c
 
 
 def fp_character(ring: FusionRing) -> DimChar:

@@ -89,7 +89,7 @@ def _load_valid_module(path: str, ring: FusionRing) -> NimRep:
 
 
 def _load_group(source: str) -> GroupTable:
-    if source.startswith("Z:") or source in ("S3", "Z2xZ2"):
+    if catalog.is_builtin_group(source):
         return catalog.builtin_group(source)
     return files.load_group(source)
 

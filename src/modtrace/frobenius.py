@@ -129,11 +129,11 @@ def morita_rescale_check(
     q = certificate.Q.Q
     d = certificate.trace.d
     scale = complex(q[m, m] / d[m])
-    residuals = np.abs(q[:, m] - np.conj(d[m]) * d)
-    bound = tol * max(1.0, float(np.max(np.abs(q))))
+    max_residual = float(np.abs(q[:, m] - np.conj(d[m]) * d).max())
+    bound = tol * max(1.0, float(np.abs(q).max()))
     return MoritaRescaleReport(
         object_index=m,
         scale=scale,
-        max_residual=float(np.max(residuals)),
-        ok=bool(np.max(residuals) <= bound),
+        max_residual=max_residual,
+        ok=max_residual <= bound,
     )

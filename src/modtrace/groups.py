@@ -16,6 +16,7 @@ on ``kappa`` and ``H``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,27 +54,24 @@ class GroupTable:
             raise StructuralError("multiplication table entries out of range")
         # rows and columns must be permutations
         full = np.arange(g)
-        for a in range(g):
-            if not np.array_equal(np.sort(mul[a]), full) or not np.array_equal(
-                np.sort(mul[:, a]), full
-            ):
-                raise StructuralError(f"row/column {a} is not a permutation")
+        rows_ok = (np.sort(mul, axis=1) == full).all(axis=1)
+        cols_ok = (np.sort(mul, axis=0) == full[:, None]).all(axis=0)
+        bad = np.flatnonzero(~(rows_ok & cols_ok))
+        if bad.size:
+            raise StructuralError(f"row/column {bad[0]} is not a permutation")
         # associativity, vectorised: (ab)c = a(bc)
         if not np.array_equal(mul[mul, :], mul[:, mul]):
             raise StructuralError("multiplication table is not associative")
-        identity = None
-        for e in range(g):
-            if np.array_equal(mul[e], full) and np.array_equal(mul[:, e], full):
-                identity = e
-                break
-        if identity is None:
+        # e with e*a = a and a*e = a for every a
+        units = np.flatnonzero((mul == full).all(axis=1) & (mul == full[:, None]).all(axis=0))
+        if not units.size:
             raise StructuralError("table has no identity element")
-        inverse = np.empty(g, dtype=np.int64)
-        for a in range(g):
-            hits = np.nonzero(mul[a] == identity)[0]
-            if hits.size != 1:
-                raise StructuralError(f"element {a} has no unique inverse")
-            inverse[a] = hits[0]
+        identity = units[0]
+        hits = mul == identity
+        bad = np.flatnonzero(hits.sum(axis=1) != 1)
+        if bad.size:
+            raise StructuralError(f"element {bad[0]} has no unique inverse")
+        inverse = hits.argmax(axis=1).astype(np.int64)
         mul.flags.writeable = False
         inverse.flags.writeable = False
         object.__setattr__(self, "mul", mul)
@@ -118,11 +116,9 @@ def cyclic_table(n: int) -> GroupTable:
 def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
     """Direct product; element ``(a, b)`` gets index ``a * |G2| + b``."""
     g1, g2 = t1.order, t2.order
-    mul = np.empty((g1 * g2, g1 * g2), dtype=np.int64)
-    for a in range(g1):
-        for b in range(g2):
-            row = t1.mul[a][:, None] * g2 + t2.mul[b][None, :]
-            mul[a * g2 + b] = row.reshape(-1)
+    # (a, b) * (c, d) = (ac, bd), indexed [a, b, c, d]
+    mul = t1.mul[:, None, :, None] * g2 + t2.mul[None, :, None, :]
+    mul = mul.reshape(g1 * g2, g1 * g2)
     labels = tuple(
         f"({t1.label(a)},{t2.label(b)})" for a in range(g1) for b in range(g2)
     )
@@ -130,14 +126,23 @@ def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
 
 
 def group_ring(table: GroupTable) -> FusionRing:
-    """The group ring as a fusion ring: permutation structure constants."""
-    g = table.order
-    N = np.zeros((g, g, g), dtype=np.int64)
-    idx = np.arange(g)
-    for a in range(g):
-        N[a, idx, table.mul[a]] = 1
-    labels = tuple(table.label(a) for a in range(g))
-    return FusionRing(g, labels, table.identity, table.inverse.copy(), N)
+    """The group ring as a fusion ring: permutation structure constants.
+
+    Shared per table: while a ring built from ``table`` is still referenced,
+    every call returns that same object, so the characters and coset
+    modules of one table share one ring.  The table holds it only weakly,
+    so a table kept for later costs no ring's memory in between.
+    """
+    ref = table.__dict__.get("_ring")
+    ring = ref() if ref is not None else None
+    if ring is None:
+        g = table.order
+        N = np.zeros((g, g, g), dtype=np.int64)
+        N[np.arange(g)[:, None], np.arange(g)[None, :], table.mul] = 1
+        labels = tuple(table.label(a) for a in range(g))
+        ring = FusionRing(g, labels, table.identity, table.inverse.copy(), N)
+        table.__dict__["_ring"] = weakref.ref(ring)
+    return ring
 
 
 def group_characters(table: GroupTable) -> list[DimChar]:
@@ -202,59 +207,87 @@ def group_characters(table: GroupTable) -> list[DimChar]:
     return result
 
 
+#: Bytes of the boolean work array one closure step of :func:`subgroups` may use.
+_CLOSURE_BYTES = 1 << 21
+
+
+def _close(table: GroupTable, sets: np.ndarray) -> np.ndarray:
+    """The subgroup generated by each row of a boolean ``(m, g)`` membership array.
+
+    Every row must hold the identity.  A row is replaced by the set of its
+    pairwise products until that no longer grows; in a finite group a
+    product-closed set holding the identity is a subgroup.
+    """
+    left_div = table.mul[table.inverse]  # [a, b] = a^-1 b
+    while True:
+        # b is a product a * (a^-1 b) of two members for some member a
+        products = (sets[:, :, None] & sets[:, left_div]).any(axis=1)
+        if np.array_equal(products, sets):
+            return sets
+        sets = products
+
+
 def span(table: GroupTable, generators) -> tuple[int, ...]:
     """The subgroup generated by a set of elements, as a sorted index tuple."""
-    elems = {table.identity}
-    frontier = [table.identity]
     gens = sorted({int(x) for x in generators})
     for x in gens:
         if not 0 <= x < table.order:
             raise StructuralError(f"generator {x} out of range")
-    while frontier:
-        new = []
-        for a in frontier:
-            for x in gens:
-                b = int(table.mul[a, x])
-                if b not in elems:
-                    elems.add(b)
-                    new.append(b)
-        frontier = new
-    # words in the generators form the full subgroup: inverses are positive powers
-    return tuple(sorted(elems))
+    mask = np.zeros((1, table.order), dtype=bool)
+    mask[0, gens] = True
+    mask[0, table.identity] = True
+    return tuple(np.flatnonzero(_close(table, mask)[0]).tolist())
 
 
 def subgroups(table: GroupTable, bound: int = SUBGROUP_ORDER_BOUND) -> list[tuple[int, ...]]:
     """All subgroups, by closure of one-generator extensions.
 
-    Sorted by size, then lexicographically.  Groups of order beyond ``bound``
-    (default 64) are rejected to keep the enumeration tractable.
+    ``<H, x>`` depends only on the left coset ``xH``, so each subgroup is
+    extended by the smallest element of each coset other than ``H`` itself,
+    a whole level of subgroups at a time.  Sorted by size, then
+    lexicographically.  Groups of order beyond ``bound`` (default 64) are
+    rejected to keep the enumeration tractable.
     """
-    if table.order > bound:
+    g, mul = table.order, table.mul
+    if g > bound:
         raise UnsupportedError(
-            f"subgroup enumeration is limited to order <= {bound} (got {table.order})"
+            f"subgroup enumeration is limited to order <= {bound} (got {g})"
         )
-    trivial = (table.identity,)
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
+    frontier = np.zeros((1, g), dtype=bool)
+    frontier[0, table.identity] = True
+    found = {frontier[0].tobytes(): frontier[0]}
+    # b subgroups extend to at most b * g sets, each closed with a (g, g) step
+    per_block = max(1, _CLOSURE_BYTES // g**3)
+    while len(frontier):
         new = []
-        for sub in frontier:
-            inside = set(sub)
-            for x in range(table.order):
-                if x in inside:
-                    continue
-                bigger = span(table, set(sub) | {x})
-                if bigger not in found:
-                    found.add(bigger)
-                    new.append(bigger)
-        frontier = new
-    return sorted(found, key=lambda s: (len(s), s))
+        for lo in range(0, len(frontier), per_block):
+            block = frontier[lo : lo + per_block]
+            coset_min = np.where(block[:, None, :], mul[None], g).min(axis=2)  # [j, a]: min of aH_j
+            reps = np.zeros_like(block)
+            reps[np.arange(len(block))[:, None], coset_min] = True
+            which, extra = np.nonzero(reps & ~block)
+            sets = block[which]
+            sets[np.arange(which.size), extra] = True
+            for row in _close(table, sets):
+                key = row.tobytes()
+                if key not in found:
+                    found[key] = row
+                    new.append(row)
+        frontier = np.array(new, dtype=bool).reshape(-1, g)
+    subs = [tuple(np.flatnonzero(row).tolist()) for row in found.values()]
+    return sorted(subs, key=lambda s: (len(s), s))
 
 
-def _is_subgroup(table: GroupTable, elems: set[int]) -> bool:
-    if table.identity not in elems:
-        return False
-    return all(int(table.mul[a, b]) in elems for a in elems for b in elems)
+def _subgroup_mask(table: GroupTable, H) -> np.ndarray:
+    """``H`` as a membership mask; :class:`StructuralError` unless it is a subgroup."""
+    idx = np.array(sorted({int(x) for x in H}), dtype=np.int64)
+    if not idx.size or idx[0] < 0 or idx[-1] >= table.order:
+        raise StructuralError("H must be a non-empty set of element indices")
+    mask = np.zeros(table.order, dtype=bool)
+    mask[idx] = True
+    if not (mask[table.identity] and mask[table.mul[np.ix_(idx, idx)]].all()):
+        raise StructuralError("H is not closed under the group product")
+    return mask
 
 
 def vect_g_module(table: GroupTable, H) -> NimRep:
@@ -264,27 +297,12 @@ def vect_g_module(table: GroupTable, H) -> NimRep:
     element; ``x`` acts by ``aH -> (xa)H``.  The result is an indecomposable
     NIM-rep of the group ring of rank ``|G| / |H|``.
     """
-    elems = {int(x) for x in H}
-    if not elems or any(not 0 <= x < table.order for x in elems):
-        raise StructuralError("H must be a non-empty set of element indices")
-    if not _is_subgroup(table, elems):
-        raise StructuralError("H is not closed under the group product")
-    g = table.order
-    coset_of = {}
-    coset_reps = []
-    for a in range(g):
-        if a in coset_of:
-            continue
-        members = sorted(int(table.mul[a, h]) for h in elems)
-        idx = len(coset_reps)
-        coset_reps.append(members[0])
-        for mbr in members:
-            coset_of[mbr] = idx
-    k = len(coset_reps)
+    sub = np.flatnonzero(_subgroup_mask(table, H))
+    # coset_of[a] numbers aH by the rank of its smallest element
+    reps, coset_of = np.unique(table.mul[:, sub].min(axis=1), return_inverse=True)
+    g, k = table.order, reps.size
     M = np.zeros((g, k, k), dtype=np.int64)
-    for x in range(g):
-        for i, a in enumerate(coset_reps):
-            M[x, coset_of[int(table.mul[x, a])], i] = 1
+    M[np.arange(g)[:, None], coset_of[table.mul[:, reps]], np.arange(k)[None, :]] = 1
     return NimRep(group_ring(table), k, M)
 
 
@@ -295,7 +313,5 @@ def matched_vectg_oracle(table: GroupTable, H, kappa, tol: float = DEFAULT_TOL) 
     eigenvalue criterion on group-graded instances.
     """
     values = kappa.d if isinstance(kappa, DimChar) else np.asarray(kappa, dtype=complex)
-    elems = {int(x) for x in H}
-    if not _is_subgroup(table, elems):
-        raise StructuralError("H is not closed under the group product")
+    elems = np.flatnonzero(_subgroup_mask(table, H))
     return all(abs(values[h] - 1.0) <= tol for h in elems)

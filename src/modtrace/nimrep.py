@@ -120,15 +120,18 @@ def is_indecomposable(rep: NimRep) -> bool:
     """True iff the action graph on module simples is connected.
 
     ``sum_u M_u`` is symmetric by duality, so strong connectivity reduces to
-    connectivity; computed by breadth-first frontier expansion from simple 0
-    over the (symmetrised) nonzero pattern.
+    connectivity; decided once per rep by breadth-first frontier expansion
+    from simple 0 over the (symmetrised) nonzero pattern.
     """
-    adj = rep.action_sum() > 0
-    adj |= adj.T
-    seen = np.zeros(rep.module_rank, dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
+    connected = rep.__dict__.get("_indecomposable")
+    if connected is None:
+        adj = rep.action_sum() > 0
+        adj |= adj.T
+        seen = np.zeros(rep.module_rank, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        connected = rep.__dict__["_indecomposable"] = bool(seen.all())
+    return connected

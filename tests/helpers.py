@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 import modtrace as mt
+from modtrace.chars import _polish_character, snap_components
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 ROOT2 = math.sqrt(2.0)
@@ -89,6 +90,18 @@ def abelian_tables_up_to(max_order: int = 12):
         10: [(10,)],
         11: [(11,)],
         12: [(12,), (6, 2)],
+        13: [(13,)],
+        14: [(14,)],
+        15: [(15,)],
+        16: [(16,), (8, 2), (4, 4), (4, 2, 2), (2, 2, 2, 2)],
+        17: [(17,)],
+        18: [(18,), (6, 3)],
+        19: [(19,)],
+        20: [(20,), (10, 2)],
+        21: [(21,)],
+        22: [(22,)],
+        23: [(23,)],
+        24: [(24,), (12, 2), (6, 2, 2)],
     }
     tables = []
     for order in range(1, max_order + 1):
@@ -206,3 +219,89 @@ def typed_violations(viols) -> list:
         (v.axiom, [(type(i), i) for i in v.index], type(v.lhs), v.lhs, type(v.rhs), v.rhs)
         for v in viols
     ]
+
+
+def span_reference(table, generators) -> tuple[int, ...]:
+    """The subgroup generated by ``generators``, by breadth-first words in them."""
+    elems = {table.identity}
+    frontier = [table.identity]
+    gens = sorted({int(x) for x in generators})
+    while frontier:
+        new = []
+        for a in frontier:
+            for x in gens:
+                b = int(table.mul[a, x])
+                if b not in elems:
+                    elems.add(b)
+                    new.append(b)
+        frontier = new
+    return tuple(sorted(elems))
+
+
+def subgroups_reference(table) -> list[tuple[int, ...]]:
+    """All subgroups, extending every subgroup by every element outside it."""
+    trivial = (table.identity,)
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for sub in frontier:
+            for x in range(table.order):
+                if x in sub:
+                    continue
+                bigger = span_reference(table, set(sub) | {x})
+                if bigger not in found:
+                    found.add(bigger)
+                    new.append(bigger)
+        frontier = new
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def coset_matrices_reference(table, H) -> np.ndarray:
+    """``M`` of the coset module of ``H``, built coset by coset and entry by entry."""
+    elems = {int(x) for x in H}
+    g = table.order
+    coset_of = {}
+    coset_reps = []
+    for a in range(g):
+        if a in coset_of:
+            continue
+        members = sorted(int(table.mul[a, h]) for h in elems)
+        coset_of.update((mbr, len(coset_reps)) for mbr in members)
+        coset_reps.append(members[0])
+    k = len(coset_reps)
+    M = np.zeros((g, k, k), dtype=np.int64)
+    for x in range(g):
+        for i, a in enumerate(coset_reps):
+            M[x, coset_of[int(table.mul[x, a])], i] = 1
+    return M
+
+
+def enumerate_characters_reference(ring) -> list:
+    """Character enumeration reading ``chi(a) = (N_a v)_k / v_k`` with one
+    matrix-vector product per ``a`` and the polish system built per character."""
+    n = ring.rank
+    mats = [m.astype(float) for m in mt.fusion_matrices(ring)]
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        weights = rng.standard_normal(n)
+        m = sum(w * mat for w, mat in zip(weights, mats))
+        vals, vecs = np.linalg.eig(m)
+        spread = max(1.0, float(np.max(np.abs(vals))))
+        pairwise = np.abs(vals[:, None] - vals[None, :])
+        pairwise[np.diag_indices(n)] = np.inf
+        if n > 1 and np.min(pairwise) < 1e-8 * spread:
+            continue
+        chars = []
+        for i in range(n):
+            v = vecs[:, i]
+            k = int(np.argmax(np.abs(v)))
+            chi = np.array([(mat @ v)[k] / v[k] for mat in mats])
+            chars.append(snap_components(_polish_character(ring, chi)))
+        if len({mt.char_sort_key(c) for c in chars}) != n:
+            continue
+        kept = [mt.DimChar(ring, c) for c in chars]
+        kept = [ch for ch in kept if mt.validate_dim_char(ch).valid]
+        kept.sort(key=lambda ch: mt.char_sort_key(ch.d), reverse=True)
+        return kept
+    raise mt.NumericError("degenerate eigenproblem")

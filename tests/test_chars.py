@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import modtrace as mt
-from helpers import NAMED_RINGS, PHI, ROOT2
-from modtrace.chars import _polish_character
+from helpers import NAMED_RINGS, PHI, ROOT2, abelian_tables_up_to, enumerate_characters_reference
+from modtrace.chars import _pair_system, _polish_character
 from modtrace.common import close
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
@@ -179,6 +179,14 @@ def test_builtin_chars_match_enumeration(name):
         assert np.max(np.abs(lhs.d - rhs.d)) < 1e-9
 
 
+def test_enumeration_matches_per_matrix_reference_bit_for_bit():
+    rings = [mt.builtin(name)[0] for name in NAMED_RINGS]
+    rings += [mt.group_ring(table) for _, table in abelian_tables_up_to(24)]
+    for ring in rings:
+        got, expected = mt.enumerate_characters(ring), enumerate_characters_reference(ring)
+        assert [ch.d.tobytes() for ch in got] == [ch.d.tobytes() for ch in expected], ring
+
+
 def _close_sets(got, exact, tol=1e-9):
     unused = list(range(len(got)))
     for target in exact:
@@ -228,10 +236,12 @@ def _polish_by_loops(ring, d):
 def test_polish_matches_loop_reference(name):
     ring, chars = mt.builtin(name)
     rng = np.random.default_rng(7)
+    pairs = _pair_system(ring)  # shared by every character, as enumeration does
     for char in chars:
         start = char.d + 1e-6 * (rng.standard_normal(ring.rank) + 1j * rng.standard_normal(ring.rank))
         got = _polish_character(ring, start)
         assert np.array_equal(got, _polish_by_loops(ring, start))
+        assert got.tobytes() == _polish_character(ring, start, pairs).tobytes()
         assert np.max(np.abs(got - char.d)) < 1e-12
     real = _polish_character(ring, chars[0].d.real + 1e-6)  # a real start is polished too
     assert np.max(np.abs(real - chars[0].d)) < 1e-12

@@ -1,15 +1,27 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modtrace as mt
+from modtrace import catalog, groups
 from modtrace.catalog import s3_table
+from helpers import (
+    abelian_tables_up_to,
+    coset_matrices_reference,
+    span_reference,
+    subgroups_reference,
+)
 
 
 def test_table_validation_rejects_garbage():
-    with pytest.raises(mt.StructuralError):
+    with pytest.raises(mt.StructuralError, match="row/column 0 is not a permutation"):
         mt.GroupTable(2, [[0, 0], [1, 1]])  # rows not permutations
+    with pytest.raises(mt.StructuralError, match="row/column 1 is not a permutation"):
+        mt.GroupTable(3, [[0, 1, 2], [1, 2, 0], [2, 2, 1]])  # column 1 and row 2 fail
     with pytest.raises(mt.StructuralError):
         mt.GroupTable(3, [[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # not associative
     with pytest.raises(mt.StructuralError):
@@ -33,6 +45,38 @@ def test_group_ring_z2_z3():
         assert np.allclose(mt.fp_dimensions(ring), np.ones(n), atol=1e-12)
         for mat in mt.fusion_matrices(ring):
             assert np.array_equal(mat.sum(axis=0), np.ones(n, dtype=int))
+
+
+def test_group_ring_is_shared_per_table():
+    for table in (mt.cyclic_table(6), s3_table()):
+        ring = mt.group_ring(table)
+        assert mt.group_ring(table) is ring
+        assert all(mt.vect_g_module(table, H).ring is ring for H in mt.subgroups(table))
+        if table.is_abelian():
+            assert all(ch.ring is ring for ch in mt.group_characters(table))
+    # an equal table built again gets its own, equal ring
+    assert mt.group_ring(mt.cyclic_table(6)) is not mt.group_ring(mt.cyclic_table(6))
+    assert mt.group_ring(mt.cyclic_table(6)) == mt.group_ring(mt.cyclic_table(6))
+    # the table alone keeps no ring alive
+    table = mt.cyclic_table(6)
+    gone = weakref.ref(mt.group_ring(table))
+    gc.collect()
+    assert gone() is None
+    assert mt.group_ring(table) == mt.group_ring(mt.cyclic_table(6))
+
+
+def test_direct_product_table_by_definition():
+    t1, t2 = s3_table(), mt.cyclic_table(4)
+    expected = [
+        [int(t1.mul[a, c]) * 4 + int(t2.mul[b, d]) for c in range(6) for d in range(4)]
+        for a in range(6)
+        for b in range(4)
+    ]
+    product = mt.direct_product(t1, t2)
+    assert product.mul.tolist() == expected
+    assert product.identity == 0
+    inverses = [int(t1.inverse[a]) * 4 + int(t2.inverse[b]) for a in range(6) for b in range(4)]
+    assert product.inverse.tolist() == inverses
 
 
 def test_group_ring_s3_noncommutative():
@@ -118,6 +162,7 @@ def test_span_returns_a_subgroup(n, data):
         st.sets(st.integers(min_value=0, max_value=n - 1), max_size=4)
     )
     sub = mt.span(table, gens)
+    assert sub == span_reference(table, gens)
     assert table.identity in sub
     assert set(gens) <= set(sub)
     inside = set(sub)
@@ -125,6 +170,34 @@ def test_span_returns_a_subgroup(n, data):
         for b in inside:
             assert int(table.mul[a, b]) in inside
     assert mt.span(table, sub) == sub
+
+
+def _reference_tables():
+    s3 = s3_table()
+    tables = abelian_tables_up_to(24)
+    tables.append(("S3", s3))
+    tables += [(f"S3xZ{n}", mt.direct_product(s3, mt.cyclic_table(n))) for n in (2, 3, 4)]
+    return tables + [("S3xS3", mt.direct_product(s3, s3)), ("Z64", mt.cyclic_table(64))]
+
+
+REFERENCE_TABLES = _reference_tables()
+
+
+@pytest.mark.parametrize("table", [t for _, t in REFERENCE_TABLES], ids=[n for n, _ in REFERENCE_TABLES])
+def test_subgroups_and_coset_modules_match_loop_reference(table):
+    subs = mt.subgroups(table)
+    assert subs == subgroups_reference(table)
+    for H in subs:
+        got, expected = mt.vect_g_module(table, H).M, coset_matrices_reference(table, H)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_subgroups_in_blocks_of_one(monkeypatch):
+    # the smallest budget closes one subgroup's extensions at a time
+    monkeypatch.setattr(groups, "_CLOSURE_BYTES", 1)
+    for table in (mt.direct_product(s3_table(), s3_table()), abelian_tables_up_to(16)[-1][1]):
+        assert mt.subgroups(table) == subgroups_reference(table)
 
 
 def test_vect_g_module_examples():
@@ -215,5 +288,9 @@ def test_builtin_group_names():
     assert mt.builtin_group("Z2xZ2").order == 4
     with pytest.raises(mt.UsageError):
         mt.builtin_group("Q8")
+    for name in ("Z:5", "Z:x", "S3", "Z2xZ2"):
+        assert catalog.is_builtin_group(name)
+    for name in ("Q8", "Z2xZ4", "s3", "group.json", "z:5"):
+        assert not catalog.is_builtin_group(name)
     with pytest.raises(mt.UsageError):
         mt.builtin("unknown-ring")
