@@ -27,7 +27,7 @@ from .common import (
     close,
     collect_violations,
 )
-from .fusion import FusionRing, fp_dimensions, fusion_matrices
+from .fusion import FusionRing, fp_dimensions
 
 #: Seeds tried for the weighted eigenproblem before giving up.
 ENUMERATION_RETRIES = 8
@@ -94,95 +94,66 @@ def snap_components(values: np.ndarray, tol: float = 1e-13) -> np.ndarray:
 
 
 def char_sort_key(d: np.ndarray) -> tuple:
-    """Deterministic ordering key: entrywise (re, im) rounded to 9 decimals.
+    """Deterministic ordering key: the real and imaginary part of each entry
+    in turn, rounded to 9 decimals, as one flat tuple.
 
     Characters are listed in descending order of this key, which places the
     all-positive Frobenius-Perron character first (its entries dominate the
     real part of every other character entrywise).
     """
-    d = np.asarray(d)
-    return tuple((round(re, 9), round(im, 9)) for re, im in zip(d.real.tolist(), d.imag.tolist()))
+    return _sort_keys(np.asarray(d, dtype=complex)[None])[0]
 
 
-def _pair_system(ring: FusionRing) -> tuple:
-    """The ``a <= b`` index pairs, their row numbers and ``N[a, b]`` as complex rows."""
-    a, b = np.triu_indices(ring.rank)
-    return a, b, np.arange(a.size), ring.N[a, b].astype(complex)
+def _sort_keys(rows: np.ndarray) -> list[tuple]:
+    """:func:`char_sort_key` of every row of a 2-d complex array, from one ``.tolist()``.
 
-
-def _polish_character(ring: FusionRing, d: np.ndarray, pairs: tuple | None = None) -> np.ndarray:
-    """Newton refinement of a near-character on the multiplicativity system.
-
-    Keeps the unit entry pinned to 1 and takes damped full-system Gauss-Newton
-    steps; the eigensolver start is already accurate, so this only sharpens
-    the last few digits.  ``pairs`` is :func:`_pair_system` of ``ring``, built
-    here when not given.
+    Each key is built as a list and then made a tuple of its full length:
+    no short-lived pair tuples, which the interpreter would keep on its
+    free lists across the allocator's arenas.
     """
-    n, unit = ring.rank, ring.unit
-    if n == 1:
-        return np.array([1.0 + 0.0j])
-    free = np.arange(n) != unit
-    a, b, rows, pair_N = _pair_system(ring) if pairs is None else pairs
-    d = np.array(d, dtype=complex)
-    d[unit] = 1.0
-    prod = np.empty(a.size, dtype=complex)
-    for _ in range(16):
-        # d[a] d[b] component-wise, which rounds exactly like a scalar product
-        prod.real = d.real[a] * d.real[b] - d.imag[a] * d.imag[b]
-        prod.imag = d.real[a] * d.imag[b] + d.imag[a] * d.real[b]
-        res = prod - pair_N @ d
-        if np.max(np.abs(res)) < 1e-14:
-            break
-        # row (a, b), column c: d[b] delta(c, a) + d[a] delta(c, b) - N[a, b, c]
-        jac = np.zeros_like(pair_N)
-        jac[rows, a] += d[b]
-        jac[rows, b] += d[a]
-        jac -= pair_N
-        step, *_ = np.linalg.lstsq(jac[:, free], -res, rcond=None)
-        if np.max(np.abs(step)) > 0.5:
-            break  # refinement diverging; keep the eigensolver result
-        d[free] += step
-    return d
+    parts = np.ascontiguousarray(rows).view(float)  # re, im of each entry in turn
+    return [tuple([round(x, 9) for x in row]) for row in parts.tolist()]
 
 
 def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[DimChar]:
     """All pivotal candidates of a commutative fusion ring.
 
-    The ring characters are computed as simultaneous eigenvectors: a random
-    real-weighted sum ``M = sum_a w_a N_a`` is diagonalised (retrying with a
-    fresh seed on eigenvalue collisions) and ``chi(a) = (N_a v)_k / v_k`` is
-    read off at the largest component of each eigenvector.  The resulting
-    characters are filtered by the nonzero and duality requirements and
-    returned in descending :func:`char_sort_key` order.
+    The fusion matrices ``N_a`` commute and are normal (``N_{a*} = N_a.T``),
+    so they share one orthonormal eigenbasis, and the ring characters are
+    read off it.  With complex Gaussian weights ``w``, ``A = sum_a w_a N_a``
+    gives the hermitian ``H = A + A^dagger``, whose eigenvalue on the common
+    eigenvector of a character ``chi`` is ``2 Re(sum_a w_a chi(a))``; one
+    ``eigh`` of ``H`` finds that basis.  If two sorted eigenvalues of ``H``
+    lie closer than ``1e-8 * max(1, max|lambda|)`` the weights are redrawn
+    with the next seed, up to :data:`ENUMERATION_RETRIES` seeds, as are
+    weights under which two eigenvectors give the same sort key.  Every
+    character is then the Rayleigh quotient ``chi_m(a) = v_m^dagger N_a v_m``;
+    because ``N_a`` is normal its error is quadratic in the eigenvector's
+    error, so no refinement step follows.  All quotients come from one
+    ``(n^2, n) @ (n, n)`` product and one contraction, O(n^4) in total.
+
+    Candidates failing :func:`validate_dim_char` (zero entries, duality) are
+    dropped; the rest are returned in descending :func:`char_sort_key` order.
     """
     if not ring.is_commutative():
         raise UnsupportedError("character enumeration requires a commutative ring")
     n = ring.rank
-    mats = [m.astype(float) for m in fusion_matrices(ring)]
-    stack = np.stack(mats)  # stack[a, k, :] is row k of N_a
-    pairs = _pair_system(ring)
+    # stack[a] = N_a, complex once so the products below cast nothing
+    stack = ring.N.transpose(0, 2, 1).astype(complex, order="C")
 
     for seed in range(ENUMERATION_RETRIES):
         rng = np.random.default_rng(seed)
-        weights = rng.standard_normal(n)
-        m = sum(w * mat for w, mat in zip(weights, mats))
-        vals, vecs = np.linalg.eig(m)
-        spread = max(1.0, float(np.max(np.abs(vals))))
-        pairwise = np.abs(vals[:, None] - vals[None, :])
-        pairwise[np.diag_indices(n)] = np.inf
-        if n > 1 and np.min(pairwise) < 1e-8 * spread:
+        weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        a = np.tensordot(weights, stack, 1)
+        vals, vecs = np.linalg.eigh(a + a.conj().T)
+        if n > 1 and np.diff(vals).min() < 1e-8 * max(1.0, float(np.abs(vals).max())):
             continue  # collided eigenvalues; retry with a new weight vector
 
-        chars = []
-        for i in range(n):
-            v = vecs[:, i]
-            k = int(np.argmax(np.abs(v)))
-            chi = stack[:, k, :] @ v / v[k]
-            chars.append(snap_components(_polish_character(ring, chi, pairs)))
-
-        keys = [char_sort_key(c) for c in chars]
+        moved = (stack.reshape(n * n, n) @ vecs).reshape(n, n, n)  # [a, c, m] = (N_a v_m)[c]
+        chars = snap_components(np.einsum("cm,acm->ma", vecs.conj(), moved))
+        keys = _sort_keys(chars)
         if len(set(keys)) != n:
-            continue  # two eigenvectors polished to the same character
+            continue  # two eigenvectors gave the same character
 
         kept = []
         for key, c in zip(keys, chars):

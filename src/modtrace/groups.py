@@ -26,7 +26,7 @@ from .common import (
     StructuralError,
     UnsupportedError,
 )
-from .chars import DimChar, char_sort_key, snap_components
+from .chars import DimChar, _sort_keys, snap_components
 from .fusion import FusionRing, _int_array
 from .nimrep import NimRep
 
@@ -151,60 +151,52 @@ def group_characters(table: GroupTable) -> list[DimChar]:
     Built by extending characters along a chain of subgroups: adjoining an
     element ``x`` with ``x^r`` already covered multiplies the character count
     by ``r``, the new values being the ``r``-th roots of the known value.
-    All arithmetic is on integer exponents modulo the group order, so no
-    eigensolver and no rounding is involved.
+    The integer exponents ``e`` (a value is ``exp(2 pi i e / g)``) of every
+    character on every covered element form one array, extended by one
+    array update per adjoined element.  All values are then read from one
+    table of the ``g`` roots of unity, each computed as a scalar, so no
+    eigensolver is involved and the only rounding is in that table; the
+    cost is O(g^2) plus O(g) scalar exponentials.
     """
     if not table.is_abelian():
         raise UnsupportedError("character construction requires an abelian group")
     g, mul = table.order, table.mul
     ring = group_ring(table)
 
-    covered = [table.identity]
-    position = {table.identity: 0}
-    chars: list[list[int]] = [[0]]  # exponent of each character on `covered`
+    covered = np.array([table.identity])
+    position = np.full(g, -1)
+    position[table.identity] = 0
+    exps = np.zeros((1, 1), dtype=np.int64)  # exps[i, p]: exponent of character i at covered[p]
 
     for x in range(g):
-        if x in position:
+        if position[x] >= 0:
             continue
-        # order of x relative to the covered subgroup
-        r, power = 1, x
-        while power not in position:
+        # order of x relative to the covered subgroup, and its powers below it
+        powers = [table.identity]
+        power = x
+        while position[power] < 0:
+            powers.append(power)
             power = mul[power, x]
-            r += 1
-        anchor = position[power]  # x^r sits at this covered position
+        r, anchor = len(powers), position[power]  # x^r sits at covered[anchor]
 
-        new_covered = list(covered)
-        new_position = dict(position)
-        offsets = []  # (covered index of a, exponent step t) for each new element a*x^t
-        for t in range(1, r):
-            for a_idx, a in enumerate(covered):
-                elem = a
-                for _ in range(t):
-                    elem = mul[elem, x]
-                new_position[elem] = len(new_covered)
-                new_covered.append(elem)
-                offsets.append((a_idx, t))
+        # covered elements a * x^t, t-major: t = 0 keeps the old positions
+        covered = mul[covered[None, :], np.array(powers)[:, None]].ravel()
+        position[covered] = np.arange(covered.size)
+        c = exps[:, anchor]
+        assert (c % r == 0).all()  # kappa(x^r) is an r-th power in the exponent lattice
+        step = (c[:, None] // r + np.arange(r) * (g // r)) % g  # [i, j]: exponent at x
+        t = np.arange(r)[:, None]
+        # [i, j, t, p]: character (i, j) at covered[p] * x^t
+        exps = (exps[:, None, None, :] + t * step[:, :, None, None]) % g
+        exps = exps.reshape(-1, covered.size)
 
-        extended: list[list[int]] = []
-        for exps in chars:
-            c = exps[anchor]
-            assert c % r == 0  # kappa(x^r) is an r-th power in the exponent lattice
-            for j in range(r):
-                dexp = (c // r + j * (g // r)) % g
-                new_exps = list(exps)
-                for a_idx, t in offsets:
-                    new_exps.append((exps[a_idx] + t * dexp) % g)
-                extended.append(new_exps)
-        covered, position, chars = new_covered, new_position, extended
-
-    result = []
-    for exps in chars:
-        values = np.empty(g, dtype=complex)
-        for pos, elem in enumerate(covered):
-            values[elem] = np.exp(2j * np.pi * exps[pos] / g)
-        result.append(DimChar(ring, snap_components(values)))
-    result.sort(key=lambda ch: char_sort_key(ch.d), reverse=True)
-    return result
+    roots = np.array([np.exp(2j * np.pi * e / g) for e in range(g)])
+    values = np.empty(exps.shape, dtype=complex)
+    values[:, covered] = roots[exps]
+    values = snap_components(values)
+    keys = _sort_keys(values)
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    return [DimChar(ring, values[i]) for i in order]
 
 
 #: Bytes of the boolean work array one closure step of :func:`subgroups` may use.

@@ -68,7 +68,7 @@ def dimension_matrix(ring: FusionRing, char: DimChar, rep: NimRep) -> DimensionM
 
 def _structural_residuals(m: np.ndarray, dim_c: float) -> tuple[float, float]:
     """``max |Q - Q^dagger|`` and ``max |Q^2 - dim(C) Q|``."""
-    return float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m @ m - dim_c * m)))
+    return float(np.abs(m - m.conj().T).max()), float(np.abs(m @ m - dim_c * m).max())
 
 
 @dataclass(frozen=True)
@@ -188,22 +188,22 @@ def solve_module_trace(
     mag = np.abs(m)
     dim_c = global_dimension(char)
     c = c_invariant(char)
-    scale = max(1.0, float(np.max(mag)))
+    scale = max(1.0, float(mag.max()))
     bound = tol * scale
     diagnostics: list[str] = []
 
     # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
     # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s].
-    r, s = np.unravel_index(int(np.argmax(mag)), m.shape)
-    max_minor = float(np.max(np.abs(m[r, s] * m - np.outer(m[:, s], m[r, :]))))
+    r, s = divmod(int(mag.argmax()), m.shape[1])
+    max_minor = float(np.abs(m[r, s] * m - m[:, s, None] * m[None, r, :]).max())
     if max_minor >= bound:
         diagnostics.append("rank exceeds 1")
 
-    min_entry = float(np.min(mag))
+    min_entry = float(mag.min())
     if min_entry <= bound:
         diagnostics.append("zero entry in Q")
 
-    p = int(np.argmax(np.diag(m).real))
+    p = int(m.diagonal().real.argmax())
     if m[p, p].real <= tol:
         diagnostics.append("zero diagonal")
 
@@ -220,9 +220,9 @@ def solve_module_trace(
     if matched:
         d = m[:, p] / np.sqrt(m[p, p].real)
         trace = ModuleTrace(d, p, dim_c)
-        residuals["right_eigen"] = float(np.max(np.abs(m @ d - dim_c * d)))
-        residuals["left_eigen"] = float(np.max(np.abs(m.T @ d - c * d)))
-        residuals["reconstruction"] = float(np.max(np.abs(m - np.outer(d, d.conj()))))
+        residuals["right_eigen"] = float(np.abs(m @ d - dim_c * d).max())
+        residuals["left_eigen"] = float(np.abs(m.T @ d - c * d).max())
+        residuals["reconstruction"] = float(np.abs(m - d[:, None] * d.conj()[None, :]).max())
 
     return TraceCertificate(
         matched=matched,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 import modtrace as mt
-from modtrace.chars import _polish_character, snap_components
+from modtrace.chars import snap_components
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 ROOT2 = math.sqrt(2.0)
@@ -277,9 +277,48 @@ def coset_matrices_reference(table, H) -> np.ndarray:
     return M
 
 
+def sort_key_reference(d) -> tuple:
+    """The ordering key as ``(re, im)`` pairs rounded to 9 decimals, entry by
+    entry; orders and compares exactly like the flat ``char_sort_key``."""
+    return tuple((round(z.real, 9), round(z.imag, 9)) for z in np.asarray(d, dtype=complex).tolist())
+
+
+def _polish_reference(ring, d) -> np.ndarray:
+    """Damped Gauss-Newton refinement of a near-character on the ``a <= b``
+    multiplicativity system, with the unit entry pinned to 1."""
+    n, unit = ring.rank, ring.unit
+    if n == 1:
+        return np.array([1.0 + 0.0j])
+    free = np.arange(n) != unit
+    a, b = np.triu_indices(n)
+    rows, pair_N = np.arange(a.size), ring.N[a, b].astype(complex)
+    d = np.array(d, dtype=complex)
+    d[unit] = 1.0
+    for _ in range(16):
+        res = d[a] * d[b] - pair_N @ d
+        if np.max(np.abs(res)) < 1e-14:
+            break
+        # row (a, b), column c: d[b] delta(c, a) + d[a] delta(c, b) - N[a, b, c]
+        jac = np.zeros_like(pair_N)
+        jac[rows, a] += d[b]
+        jac[rows, b] += d[a]
+        jac -= pair_N
+        step, *_ = np.linalg.lstsq(jac[:, free], -res, rcond=None)
+        if np.max(np.abs(step)) > 0.5:
+            break
+        d[free] += step
+    return d
+
+
 def enumerate_characters_reference(ring) -> list:
-    """Character enumeration reading ``chi(a) = (N_a v)_k / v_k`` with one
-    matrix-vector product per ``a`` and the polish system built per character."""
+    """Character enumeration by a general eigensolver and per-character polish.
+
+    A real-weighted ``sum_a w_a N_a`` is diagonalised by ``np.linalg.eig``,
+    ``chi(a) = (N_a v)_k / v_k`` is read at the largest component of each
+    eigenvector with one matrix-vector product per ``a``, and every character
+    is refined by :func:`_polish_reference`.  Independent of the hermitian
+    eigendecomposition and Rayleigh quotients of ``enumerate_characters``.
+    """
     n = ring.rank
     mats = [m.astype(float) for m in mt.fusion_matrices(ring)]
     for seed in range(8):
@@ -297,11 +336,85 @@ def enumerate_characters_reference(ring) -> list:
             v = vecs[:, i]
             k = int(np.argmax(np.abs(v)))
             chi = np.array([(mat @ v)[k] / v[k] for mat in mats])
-            chars.append(snap_components(_polish_character(ring, chi)))
-        if len({mt.char_sort_key(c) for c in chars}) != n:
+            chars.append(snap_components(_polish_reference(ring, chi)))
+        if len({sort_key_reference(c) for c in chars}) != n:
             continue
         kept = [mt.DimChar(ring, c) for c in chars]
         kept = [ch for ch in kept if mt.validate_dim_char(ch).valid]
-        kept.sort(key=lambda ch: mt.char_sort_key(ch.d), reverse=True)
+        kept.sort(key=lambda ch: sort_key_reference(ch.d), reverse=True)
         return kept
     raise mt.NumericError("degenerate eigenproblem")
+
+
+def group_characters_reference(table) -> list:
+    """Linear characters of an abelian group on the exponent chain, element by
+    element with lists and dicts, and each value its own ``np.exp``."""
+    g, mul = table.order, table.mul
+    ring = mt.group_ring(table)
+    covered = [table.identity]
+    position = {table.identity: 0}
+    chars = [[0]]  # exponent of each character on `covered`
+    for x in range(g):
+        if x in position:
+            continue
+        r, power = 1, x
+        while power not in position:
+            power = mul[power, x]
+            r += 1
+        anchor = position[power]  # x^r sits at this covered position
+        new_covered = list(covered)
+        new_position = dict(position)
+        offsets = []  # (covered index of a, exponent step t) for each new element a*x^t
+        for t in range(1, r):
+            for a_idx, a in enumerate(covered):
+                elem = a
+                for _ in range(t):
+                    elem = mul[elem, x]
+                new_position[elem] = len(new_covered)
+                new_covered.append(elem)
+                offsets.append((a_idx, t))
+        extended = []
+        for exps in chars:
+            c = exps[anchor]
+            assert c % r == 0
+            for j in range(r):
+                dexp = (c // r + j * (g // r)) % g
+                new_exps = list(exps)
+                for a_idx, t in offsets:
+                    new_exps.append((exps[a_idx] + t * dexp) % g)
+                extended.append(new_exps)
+        covered, position, chars = new_covered, new_position, extended
+    result = []
+    for exps in chars:
+        values = np.empty(g, dtype=complex)
+        for pos, elem in enumerate(covered):
+            values[elem] = np.exp(2j * np.pi * exps[pos] / g)
+        result.append(mt.DimChar(ring, snap_components(values)))
+    result.sort(key=lambda ch: sort_key_reference(ch.d), reverse=True)
+    return result
+
+
+def su2_ring(k: int):
+    """The SU(2)_k fusion ring: simples ``j = 0..k`` under the truncated
+    Clebsch-Gordan rule ``|i - j| <= l <= min(i + j, 2k - i - j)``, ``i + j + l``
+    even; every simple is self-dual."""
+    j = np.arange(k + 1)
+    i, jj, ll = np.meshgrid(j, j, j, indexing="ij")
+    N = (
+        (np.abs(i - jj) <= ll)
+        & (ll <= np.minimum(i + jj, 2 * k - i - jj))
+        & ((i + jj + ll) % 2 == 0)
+    ).astype(np.int64)
+    return mt.FusionRing(k + 1, tuple(str(x) for x in j), 0, j.copy(), N)
+
+
+def su2_characters(k: int) -> list[np.ndarray]:
+    """The nowhere-zero characters of SU(2)_k in closed form,
+    ``d_m(j) = sin((j + 1) pi m / (k + 2)) / sin(pi m / (k + 2))`` for the
+    ``m = 1..k+1`` coprime to ``k + 2`` (the others vanish somewhere)."""
+    j = np.arange(k + 1)
+    return [
+        np.sin((j + 1) * np.pi * m / (k + 2)) / np.sin(np.pi * m / (k + 2)) + 0j
+        for m in range(1, k + 2)
+        if math.gcd(m, k + 2) == 1
+    ]

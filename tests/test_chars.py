@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 import modtrace as mt
-from helpers import NAMED_RINGS, PHI, ROOT2, abelian_tables_up_to, enumerate_characters_reference
-from modtrace.chars import _pair_system, _polish_character
+from helpers import (
+    NAMED_RINGS,
+    PHI,
+    ROOT2,
+    abelian_tables_up_to,
+    enumerate_characters_reference,
+    sort_key_reference,
+    su2_characters,
+    su2_ring,
+)
+from modtrace import files
+from modtrace.chars import ENUMERATION_RETRIES
 from modtrace.common import close
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
@@ -179,12 +189,109 @@ def test_builtin_chars_match_enumeration(name):
         assert np.max(np.abs(lhs.d - rhs.d)) < 1e-9
 
 
-def test_enumeration_matches_per_matrix_reference_bit_for_bit():
+def test_char_sort_key_is_flat_and_orders_like_pairs():
+    assert mt.char_sort_key([1.0, 1j, -0.5 + 2e-10j]) == (1.0, 0.0, 0.0, 1.0, -0.5, 0.0)
+    rng = np.random.default_rng(3)
+    rows = np.round(rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3)), 1)
+    flat = sorted(range(40), key=lambda i: mt.char_sort_key(rows[i]))
+    pairs = sorted(range(40), key=lambda i: sort_key_reference(rows[i]))
+    assert flat == pairs
+
+
+def _round12(chars):
+    return [[(files.round12(z.real), files.round12(z.imag)) for z in ch.d] for ch in chars]
+
+
+def _reference_rings():
     rings = [mt.builtin(name)[0] for name in NAMED_RINGS]
-    rings += [mt.group_ring(table) for _, table in abelian_tables_up_to(24)]
-    for ring in rings:
+    return rings + [mt.group_ring(table) for _, table in abelian_tables_up_to(24)]
+
+
+def test_enumeration_matches_reference_after_round12():
+    # equal at the 12 significant digits of every CLI output and emitted file
+    for ring in _reference_rings():
         got, expected = mt.enumerate_characters(ring), enumerate_characters_reference(ring)
-        assert [ch.d.tobytes() for ch in got] == [ch.d.tobytes() for ch in expected], ring
+        assert _round12(got) == _round12(expected), ring
+
+
+def test_enumeration_multiplicativity_residual():
+    for ring in _reference_rings():
+        for ch in mt.enumerate_characters(ring):
+            d = ch.d
+            residual = np.abs(np.outer(d, d) - np.einsum("abc,c->ab", ring.N, d)).max()
+            assert residual <= 1e-13, (ring, residual)
+
+
+def _elementary_abelian(k):
+    table = mt.cyclic_table(2)
+    for _ in range(k - 1):
+        table = mt.direct_product(table, mt.cyclic_table(2))
+    return table
+
+
+@pytest.mark.parametrize("name", ["Z:64", "Z:128", "Z2^6"])
+def test_enumeration_matches_group_characters_after_round12(name):
+    table = _elementary_abelian(6) if name == "Z2^6" else mt.builtin_group(name)
+    got = mt.enumerate_characters(mt.group_ring(table))
+    assert _round12(got) == _round12(mt.group_characters(table))
+
+
+def test_enumeration_matches_su2_closed_forms():
+    # a family beyond group rings: every character of SU(2)_k is real, and
+    # those with a zero entry (m not coprime to k + 2) are dropped
+    for k in range(1, 41):
+        ring = su2_ring(k)
+        assert mt.validate_fusion_ring(ring).valid
+        got = [ch.d for ch in mt.enumerate_characters(ring)]
+        assert _close_sets(got, su2_characters(k), tol=1e-10), k
+
+
+def _patched_eigh(monkeypatch, spoil, calls_spoiled):
+    """``np.linalg.eigh`` whose result is passed through ``spoil(vals, vecs)``
+    on the call numbers ``calls_spoiled`` admits; returns the call log."""
+    real_eigh, calls = np.linalg.eigh, []
+
+    def eigh(h):
+        vals, vecs = real_eigh(h)
+        if calls_spoiled(len(calls)):
+            spoil(vals, vecs)
+        calls.append(len(calls))
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls
+
+
+def _collide(vals, vecs):
+    # a degenerate eigenspace may come back in any basis: rotate two vectors
+    vals[1] = vals[0]
+    c, s = np.cos(0.3), np.sin(0.3)
+    vecs[:, [0, 1]] = vecs[:, [0, 1]] @ np.array([[c, -s], [s, c]])
+
+
+def _repeat(vals, vecs):
+    vecs[:, 1] = vecs[:, 0]
+
+
+def test_enumeration_reseeds_on_collided_eigenvalues(monkeypatch):
+    # mixed eigenvectors read off distinct non-characters, which validation
+    # would drop silently; the collision must force the next seed instead
+    ring, closed = mt.builtin("zn:5")
+    calls = _patched_eigh(monkeypatch, _collide, lambda call: call == 0)
+    assert _round12(mt.enumerate_characters(ring)) == _round12(closed)
+    assert calls == [0, 1]
+    calls = _patched_eigh(monkeypatch, _collide, lambda call: True)
+    with pytest.raises(mt.NumericError):
+        mt.enumerate_characters(ring)
+    assert len(calls) == ENUMERATION_RETRIES
+
+
+def test_enumeration_reseeds_on_repeated_characters(monkeypatch):
+    # separated eigenvalues, but two equal eigenvectors give one character twice
+    ring, closed = mt.builtin("rep_s3")
+    calls = _patched_eigh(monkeypatch, _repeat, lambda call: call == 0)
+    assert _round12(mt.enumerate_characters(ring)) == _round12(closed)
+    assert calls == [0, 1]
 
 
 def _close_sets(got, exact, tol=1e-9):
@@ -199,52 +306,12 @@ def _close_sets(got, exact, tol=1e-9):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_enumerate_elementary_abelian_matches_group_characters(k):
-    # Z2^k has a real eigenbasis, so polishing must work on a complex copy
-    table = mt.cyclic_table(2)
-    for _ in range(k - 1):
-        table = mt.direct_product(table, mt.cyclic_table(2))
+    table = _elementary_abelian(k)
     ring = mt.group_ring(table)
     got = [ch.d for ch in mt.enumerate_characters(ring)]
     exact = [ch.d for ch in mt.group_characters(table)]
     assert len(got) == 2**k
     assert _close_sets(got, exact)
-
-
-def _polish_by_loops(ring, d):
-    """Entry-by-entry reference for the Gauss-Newton polish of a near-character."""
-    n, N, unit = ring.rank, ring.N, ring.unit
-    free = [a for a in range(n) if a != unit]
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    d = np.array(d, dtype=complex)
-    d[unit] = 1.0
-    for _ in range(16):
-        res = np.array([d[a] * d[b] - N[a, b] @ d for a, b in pairs])
-        if np.max(np.abs(res)) < 1e-14:
-            break
-        jac = np.zeros((len(pairs), len(free)), dtype=complex)
-        for row, (a, b) in enumerate(pairs):
-            for col, c in enumerate(free):
-                jac[row, col] = (c == a) * d[b] + (c == b) * d[a] - N[a, b, c]
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        if np.max(np.abs(step)) > 0.5:
-            break
-        d[free] += step
-    return d
-
-
-@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "zn:5", "zn:8"])
-def test_polish_matches_loop_reference(name):
-    ring, chars = mt.builtin(name)
-    rng = np.random.default_rng(7)
-    pairs = _pair_system(ring)  # shared by every character, as enumeration does
-    for char in chars:
-        start = char.d + 1e-6 * (rng.standard_normal(ring.rank) + 1j * rng.standard_normal(ring.rank))
-        got = _polish_character(ring, start)
-        assert np.array_equal(got, _polish_by_loops(ring, start))
-        assert got.tobytes() == _polish_character(ring, start, pairs).tobytes()
-        assert np.max(np.abs(got - char.d)) < 1e-12
-    real = _polish_character(ring, chars[0].d.real + 1e-6)  # a real start is polished too
-    assert np.max(np.abs(real - chars[0].d)) < 1e-12
 
 
 def _violations_by_loops(char, tol=1e-9):

@@ -12,6 +12,7 @@ from modtrace.catalog import s3_table
 from helpers import (
     abelian_tables_up_to,
     coset_matrices_reference,
+    group_characters_reference,
     span_reference,
     subgroups_reference,
 )
@@ -118,6 +119,22 @@ def test_group_characters_match_enumeration(n):
     assert len(closed) == len(numeric) == n
     for lhs, rhs in zip(closed, numeric):
         assert np.max(np.abs(lhs.d - rhs.d)) < 1e-9
+
+
+def _group_character_tables():
+    tables = abelian_tables_up_to(24) + [("Z:64", mt.cyclic_table(64))]
+    z2_6 = mt.cyclic_table(2)
+    for _ in range(5):
+        z2_6 = mt.direct_product(z2_6, mt.cyclic_table(2))
+    return tables + [("Z2^6", z2_6)]
+
+
+@pytest.mark.parametrize("name,table", _group_character_tables())
+def test_group_characters_match_loop_reference_bit_for_bit(name, table):
+    got = mt.group_characters(table)
+    expected = group_characters_reference(table)
+    assert [ch.d.tobytes() for ch in got] == [ch.d.tobytes() for ch in expected]
+    assert all(ch.ring is mt.group_ring(table) for ch in got)
 
 
 def test_group_characters_product_group():
