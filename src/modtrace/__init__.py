@@ -5,135 +5,49 @@ structure) admits a module trace on a given NIM-rep via the rank-1 criterion
 for the inner-hom dimension matrix, extracts the trace dimension vector, and
 reports the derived invariants: global dimension, the sphericality detector
 ``C``, and the Frobenius data of inner-hom algebras.
+
+The namespace is lazy: ``import modtrace`` loads no layer module (and not
+numpy); a layer is imported when one of its names is first read.
 """
 
-from .common import (
-    DEFAULT_TOL,
-    NumericError,
-    PreconditionError,
-    StructuralError,
-    UnsupportedError,
-    UsageError,
-    ValidationReport,
-    Violation,
-)
-from .fusion import (
-    FusionRing,
-    fp_dimensions,
-    fusion_matrices,
-    perron_vector,
-    validate_fusion_ring,
-)
-from .chars import (
-    DimChar,
-    c_invariant,
-    char_sort_key,
-    conjugate_char,
-    enumerate_characters,
-    fp_character,
-    global_dimension,
-    is_spherical,
-    validate_dim_char,
-)
-from .nimrep import (
-    NimRep,
-    direct_sum,
-    is_indecomposable,
-    regular_module,
-    validate_nimrep,
-)
-from .solver import (
-    DimensionMatrix,
-    MatchedReport,
-    ModuleTrace,
-    QPropertyReport,
-    SphericalReport,
-    TraceCertificate,
-    dimension_matrix,
-    fp_module_trace,
-    matched_report,
-    object_dimension,
-    q_property_report,
-    solve_module_trace,
-    spherical_certificate,
-)
-from .frobenius import (
-    FrobeniusReport,
-    MoritaRescaleReport,
-    frobenius_report,
-    inner_hom_multiplicities,
-    morita_rescale_check,
-)
-from .groups import (
-    GroupTable,
-    cyclic_table,
-    direct_product,
-    group_characters,
-    group_ring,
-    matched_vectg_oracle,
-    span,
-    subgroups,
-    vect_g_module,
-)
-from .catalog import builtin, builtin_group
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "DimChar",
-    "DimensionMatrix",
-    "FrobeniusReport",
-    "FusionRing",
-    "GroupTable",
-    "MatchedReport",
-    "ModuleTrace",
-    "MoritaRescaleReport",
-    "NimRep",
-    "NumericError",
-    "PreconditionError",
-    "QPropertyReport",
-    "SphericalReport",
-    "StructuralError",
-    "TraceCertificate",
-    "UnsupportedError",
-    "UsageError",
-    "ValidationReport",
-    "Violation",
-    "builtin",
-    "builtin_group",
-    "c_invariant",
-    "char_sort_key",
-    "conjugate_char",
-    "cyclic_table",
-    "dimension_matrix",
-    "direct_product",
-    "direct_sum",
-    "enumerate_characters",
-    "fp_character",
-    "fp_dimensions",
-    "fp_module_trace",
-    "frobenius_report",
-    "fusion_matrices",
-    "global_dimension",
-    "group_characters",
-    "group_ring",
-    "inner_hom_multiplicities",
-    "is_indecomposable",
-    "is_spherical",
-    "matched_report",
-    "matched_vectg_oracle",
-    "morita_rescale_check",
-    "object_dimension",
-    "perron_vector",
-    "q_property_report",
-    "regular_module",
-    "solve_module_trace",
-    "span",
-    "spherical_certificate",
-    "subgroups",
-    "validate_dim_char",
-    "validate_fusion_ring",
-    "validate_nimrep",
-    "vect_g_module",
-]
+# Each public name and the layer module that defines it.
+_LAYER_OF = {
+    name: layer
+    for layer, names in {
+        "common": "DEFAULT_TOL NumericError PreconditionError StructuralError UnsupportedError"
+        " UsageError ValidationReport Violation",
+        "fusion": "FusionRing fp_dimensions fusion_matrices perron_vector validate_fusion_ring",
+        "chars": "DimChar c_invariant char_sort_key conjugate_char enumerate_characters"
+        " fp_character global_dimension is_spherical validate_dim_char",
+        "nimrep": "NimRep direct_sum is_indecomposable regular_module validate_nimrep",
+        "solver": "DimensionMatrix MatchedReport ModuleTrace QPropertyReport SphericalReport"
+        " TraceCertificate dimension_matrix fp_module_trace matched_report object_dimension"
+        " q_property_report solve_module_trace spherical_certificate",
+        "frobenius": "FrobeniusReport MoritaRescaleReport frobenius_report"
+        " inner_hom_multiplicities morita_rescale_check",
+        "groups": "GroupTable cyclic_table direct_product group_characters group_ring"
+        " matched_vectg_oracle span subgroups vect_g_module",
+        "catalog": "builtin builtin_group",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_LAYER_OF)
+
+
+def __getattr__(name: str):
+    """Import the layer that defines ``name`` and keep the value as a module global."""
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{layer}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

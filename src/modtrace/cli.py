@@ -13,8 +13,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import catalog, files
-from .chars import DimChar, enumerate_characters, validate_dim_char
+# Layers other than common, files and fusion are reached through the lazy
+# package (``mt.solve_module_trace``), so each verb imports only the layers it runs.
+import modtrace as mt
+
+from . import files
 from .common import (
     DEFAULT_TOL,
     NumericError,
@@ -24,16 +27,19 @@ from .common import (
     UsageError,
     complex_pair,
 )
-from .frobenius import frobenius_report, morita_rescale_check
 from .fusion import FusionRing, fp_dimensions, validate_fusion_ring
-from .groups import GroupTable, group_characters, group_ring, subgroups, vect_g_module
-from .nimrep import NimRep, regular_module, validate_nimrep
-from .solver import matched_report, solve_module_trace
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+
+
+def __getattr__(name: str):
+    """Public layer names (``cli.solve_module_trace``) resolve through the package."""
+    if name not in mt.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(mt, name)
 
 
 def _fmt(x: float) -> str:
@@ -64,31 +70,33 @@ def _load_valid_ring(path: str) -> FusionRing:
     return ring
 
 
-def _load_char(source: str, ring: FusionRing, tol: float) -> DimChar:
+def _load_char(source: str, ring: FusionRing, tol: float) -> mt.DimChar:
     try:
         index = int(source)
     except ValueError:
         char = files.load_char(source, ring)
     else:
-        chars = enumerate_characters(ring, tol)
+        chars = mt.enumerate_characters(ring, tol)
         if not 0 <= index < len(chars):
             raise UsageError(f"character index {index} out of range (ring has {len(chars)})")
         return chars[index]
-    report = validate_dim_char(char, tol)
+    report = mt.validate_dim_char(char, tol)
     if not report.valid:
         raise _Failure(EXIT_INPUT, f"{source}: invalid character ({report.violations[0].axiom})")
     return char
 
 
-def _load_valid_module(path: str, ring: FusionRing) -> NimRep:
+def _load_valid_module(path: str, ring: FusionRing) -> mt.NimRep:
     rep = files.load_module(path, ring)
-    report = validate_nimrep(rep)
+    report = mt.validate_nimrep(rep)
     if not report.valid:
         raise _Failure(EXIT_INPUT, f"{path}: invalid module ({report.violations[0].axiom})")
     return rep
 
 
-def _load_group(source: str) -> GroupTable:
+def _load_group(source: str) -> mt.GroupTable:
+    from . import catalog
+
     if catalog.is_builtin_group(source):
         return catalog.builtin_group(source)
     return files.load_group(source)
@@ -166,7 +174,7 @@ def _cmd_fp_dims(args, out) -> int:
 
 def _cmd_characters(args, out) -> int:
     ring = _load_valid_ring(args.ring)
-    chars = enumerate_characters(ring, args.tol)
+    chars = mt.enumerate_characters(ring, args.tol)
     if args.json:
         payload = {
             "labels": list(ring.labels),
@@ -182,7 +190,7 @@ def _cmd_trace(args, out) -> int:
     ring = _load_valid_ring(args.ring)
     char = _load_char(args.char, ring, args.tol)
     rep = _load_valid_module(args.module, ring)
-    cert = solve_module_trace(ring, char, rep, args.tol)
+    cert = mt.solve_module_trace(ring, char, rep, args.tol)
     if args.json:
         print(files.dumps(cert.to_dict()), file=out)
     else:
@@ -196,7 +204,7 @@ def _cmd_flexible(args, out) -> int:
     ring = _load_valid_ring(args.ring)
     char = _load_char(args.char, ring, args.tol)
     reps = [_load_valid_module(p, ring) for p in args.modules]
-    report = matched_report(ring, char, reps, args.tol)
+    report = mt.matched_report(ring, char, reps, args.tol)
     if args.json:
         print(files.dumps(report.to_dict()), file=out)
     else:
@@ -212,11 +220,11 @@ def _cmd_frobenius(args, out) -> int:
     ring = _load_valid_ring(args.ring)
     char = _load_char(args.char, ring, args.tol)
     rep = _load_valid_module(args.module, ring)
-    cert = solve_module_trace(ring, char, rep, args.tol)
-    frob = frobenius_report(ring, char, rep, args.object, cert, args.tol)
+    cert = mt.solve_module_trace(ring, char, rep, args.tol)
+    frob = mt.frobenius_report(ring, char, rep, args.object, cert, args.tol)
     morita = None
     if cert.matched:
-        morita = morita_rescale_check(ring, char, rep, args.object, cert, args.tol)
+        morita = mt.morita_rescale_check(ring, char, rep, args.object, cert, args.tol)
     if args.json:
         payload = cert.to_dict()
         payload["frobenius"] = frob.to_dict()
@@ -246,14 +254,14 @@ def _cmd_frobenius(args, out) -> int:
 def _cmd_vectg(args, out) -> int:
     table = _load_group(args.group)
     abelian = table.is_abelian()
-    subs = subgroups(table)
+    subs = mt.subgroups(table)
     if args.characters and not abelian:
         raise UnsupportedError("characters are only enumerated for abelian groups")
-    chars = group_characters(table) if abelian and (args.characters or args.emit) else []
+    chars = mt.group_characters(table) if abelian and (args.characters or args.emit) else []
     written = []
     if args.emit:
-        modules = [(f"module-H{idx:02d}.json", vect_g_module(table, sub)) for idx, sub in enumerate(subs)]
-        written = _emit_files(args.emit, group_ring(table), chars, modules, table)
+        modules = [(f"module-H{idx:02d}.json", mt.vect_g_module(table, sub)) for idx, sub in enumerate(subs)]
+        written = _emit_files(args.emit, mt.group_ring(table), chars, modules, table)
     if args.json:
         payload = {
             "order": table.order,
@@ -283,10 +291,10 @@ def _cmd_vectg(args, out) -> int:
 
 
 def _cmd_builtin(args, out) -> int:
-    ring, chars = catalog.builtin(args.name)
+    ring, chars = mt.builtin(args.name)
     written = []
     if args.emit:
-        written = _emit_files(args.emit, ring, chars, [("module-regular.json", regular_module(ring))])
+        written = _emit_files(args.emit, ring, chars, [("module-regular.json", mt.regular_module(ring))])
     if args.json:
         payload = {
             "name": args.name,

@@ -11,14 +11,17 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chars import DimChar
 from .common import StructuralError, complex_pair
 from .fusion import FusionRing
-from .groups import GroupTable
-from .nimrep import NimRep
+
+if TYPE_CHECKING:  # imported where used, so loading a ring pulls in no other layer
+    from .chars import DimChar
+    from .groups import GroupTable
+    from .nimrep import NimRep
 
 _HASH_RE = re.compile(r"^[0-9a-f]{12}$")
 
@@ -101,6 +104,8 @@ def char_to_dict(char: DimChar) -> dict:
 
 
 def char_from_dict(data: dict, ring: FusionRing) -> DimChar:
+    from .chars import DimChar
+
     _require(data, ["ring", "d"], "character")
     _check_ring_field(data["ring"], ring, "character")
     pairs = data["d"]
@@ -130,6 +135,8 @@ def module_to_dict(rep: NimRep) -> dict:
 
 
 def module_from_dict(data: dict, ring: FusionRing) -> NimRep:
+    from .nimrep import NimRep
+
     _require(data, ["ring", "module_rank", "M"], "module")
     _check_ring_field(data["ring"], ring, "module")
     return NimRep(ring, data["module_rank"], data["M"])
@@ -146,6 +153,8 @@ def load_module(path, ring: FusionRing) -> NimRep:
 # -- groups -------------------------------------------------------------
 
 def group_from_dict(data: dict) -> GroupTable:
+    from .groups import GroupTable
+
     _require(data, ["order", "mul"], "group")
     return GroupTable(data["order"], data["mul"])
 

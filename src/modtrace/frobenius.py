@@ -79,7 +79,12 @@ def frobenius_report(
     if not is_indecomposable(rep):
         raise UnsupportedError("Frobenius report needs an indecomposable module")
     mults = inner_hom_multiplicities(rep, m, m)
-    dim_a = float(certificate.Q.Q[m, m].real)
+    q = certificate.Q.Q
+    dim_a = float(q[m, m].real)
+    # Report a diagonal entry that is zero at the solver's scale as 0, not as
+    # rounding dust; a matched Q has no such entry.
+    if not certificate.matched and abs(q[m, m]) <= tol * max(1.0, float(np.abs(q).max())):
+        dim_a = 0.0
     return FrobeniusReport(
         object_index=m,
         multiplicities=mults,

@@ -156,6 +156,20 @@ def test_frobenius_verb(fib_dir):
     assert frob["morita"]["ok"] is True
 
 
+def test_frobenius_unmatched_diagonal_zero_prints_zero(tmp_path):
+    d = tmp_path / "z12"
+    assert invoke("vectg", "--group", "Z:12", "--emit", str(d))[0] == 0
+    argv = ["frobenius", str(d / "ring.json"), "--char", "1", "--module", str(d / "module-H02.json"), "--object", "0"]
+    code, out, _ = invoke(*argv)
+    assert code == 0
+    assert "matched:   false" in out
+    assert "dimA:      0\n" in out and "beta1:     0\n" in out
+    code, out, _ = invoke(*argv, "--json")
+    frob = json.loads(out)["frobenius"]
+    assert frob["dimA"] == 0.0 and frob["beta1"] == 0.0
+    assert frob["positivity_ok"] is False
+
+
 def test_vectg_s3_characters_unsupported():
     code, _, err = invoke("vectg", "--group", "S3", "--characters")
     assert code == 2
@@ -170,12 +184,10 @@ def test_vectg_subgroups_listing():
 
 
 def test_vectg_computes_characters_only_when_asked(monkeypatch):
-    import modtrace.cli as cli_mod
-
     def boom(*args, **kwargs):
         raise AssertionError("group_characters called without --characters or --emit")
 
-    monkeypatch.setattr(cli_mod, "group_characters", boom)
+    monkeypatch.setattr(mt, "group_characters", boom)
     code, out, _ = invoke("vectg", "--group", "Z:4", "--subgroups", "--json")
     assert code == 0
     assert json.loads(out)["subgroup_count"] == 3
@@ -241,12 +253,10 @@ def test_emitted_files_reload_equal(fib_dir, z2_dir):
 
 
 def test_numeric_failure_exits_3(fib_dir, monkeypatch):
-    import modtrace.cli as cli_mod
-
     def boom(*args, **kwargs):
         raise mt.NumericError("synthetic degeneracy")
 
-    monkeypatch.setattr(cli_mod, "enumerate_characters", boom)
+    monkeypatch.setattr(mt, "enumerate_characters", boom)
     code, _, err = invoke("characters", str(fib_dir / "ring.json"))
     assert code == 3
     assert "numeric failure" in err

@@ -1,0 +1,98 @@
+"""The lazy package namespace and the layers each CLI verb loads."""
+
+import importlib
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import modtrace as mt
+from modtrace import cli
+
+SRC = str(Path(mt.__file__).resolve().parents[1])
+
+# Run in a fresh interpreter: prints the modules of ``forbidden`` that are loaded after ``body``.
+CHILD = """
+import sys
+import modtrace
+{body}
+print(" ".join(sorted(m for m in {forbidden!r} if m in sys.modules)))
+"""
+
+
+def _loaded_after(body: str, forbidden: list[str]) -> list[str]:
+    code = CHILD.format(body=body, forbidden=forbidden)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def _layers(*names):
+    return [f"modtrace.{name}" for name in names]
+
+
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory):
+    """Fibonacci ring, regular module and characters, as ``builtin --emit`` writes them."""
+    d = tmp_path_factory.mktemp("fib")
+    assert cli.run(["builtin", "fibonacci", "--emit", str(d)]) == 0
+    return d
+
+
+def test_import_loads_no_layer_and_no_numpy():
+    layers = _layers("common", "fusion", "chars", "nimrep", "solver", "frobenius", "groups", "catalog", "files", "cli")
+    listing = "assert set(modtrace.__all__) <= set(dir(modtrace))"  # listed before any layer is loaded
+    assert _loaded_after(listing, layers + ["numpy"]) == []
+
+
+@pytest.mark.parametrize(
+    "verbs, absent",
+    [
+        ([["validate", "{ring}"], ["fp-dims", "{ring}"]], ("chars", "nimrep", "solver", "frobenius", "groups", "catalog")),
+        ([["trace", "{ring}", "--char", "0", "--module", "{module}"]], ("frobenius", "groups", "catalog")),
+        ([["vectg", "--group", "Z:4", "--subgroups", "--characters", "--emit", "{out}"]], ("solver", "frobenius")),
+    ],
+    ids=["validate+fp-dims", "trace", "vectg"],
+)
+def test_each_verb_loads_only_its_layers(verbs, absent, emitted, tmp_path):
+    paths = {"ring": emitted / "ring.json", "module": emitted / "module-regular.json", "out": tmp_path / "z4"}
+    runs = [[arg.format(**{k: str(v) for k, v in paths.items()}) for arg in argv] for argv in verbs]
+    body = "import io\nfrom modtrace import cli\n" + "".join(
+        f"assert cli.run({argv!r}, out=io.StringIO()) == 0\n" for argv in runs
+    )
+    assert _loaded_after(body, _layers(*absent)) == []
+
+
+def test_every_public_name_is_its_layers_object():
+    for name, layer in mt._LAYER_OF.items():
+        module = importlib.import_module(f"modtrace.{layer}")
+        value = getattr(mt, name)
+        assert value is getattr(module, name), name
+        assert vars(mt)[name] is value, name  # kept as a plain global after the first read
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == module.__name__, name
+
+
+def test_namespace_listing_and_star_import():
+    assert set(mt.__all__) <= set(dir(mt))
+    namespace = {}
+    exec("from modtrace import *", namespace)
+    assert set(mt.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        mt.no_such_name
+
+
+def test_cli_resolves_layer_names_through_the_package():
+    from modtrace import solver
+
+    assert cli.solve_module_trace is solver.solve_module_trace
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+    with pytest.raises(AttributeError):  # not a package: only public layer names are delegated
+        cli.__path__
