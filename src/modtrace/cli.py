@@ -55,9 +55,19 @@ def _fmt_complex(z: complex) -> str:
 
 
 class _Failure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """Invalid input, reported by its message alone (exit 2)."""
+
+
+def _tolerance(text: str) -> float:
+    """Parse ``--tol``: a finite float with ``0 <= tol < 1``."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    # NaN fails both comparisons; at tol >= 1 even d(unit) = 1 fails the nonzero check |d| > tol.
+    if not 0.0 <= tol < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite tolerance with 0 <= tol < 1")
+    return tol
 
 
 def _load_valid_ring(path: str) -> FusionRing:
@@ -66,7 +76,7 @@ def _load_valid_ring(path: str) -> FusionRing:
     if not report.valid:
         lines = [f"{path}: ring violates {len(report.violations)} axiom instance(s)"]
         lines += [f"  {v.axiom} at {v.index}: {v.lhs} != {v.rhs}" for v in report.violations[:20]]
-        raise _Failure(EXIT_INPUT, "\n".join(lines))
+        raise _Failure("\n".join(lines))
     return ring
 
 
@@ -82,7 +92,7 @@ def _load_char(source: str, ring: FusionRing, tol: float) -> mt.DimChar:
         return chars[index]
     report = mt.validate_dim_char(char, tol)
     if not report.valid:
-        raise _Failure(EXIT_INPUT, f"{source}: invalid character ({report.violations[0].axiom})")
+        raise _Failure(f"{source}: invalid character ({report.violations[0].axiom})")
     return char
 
 
@@ -90,7 +100,7 @@ def _load_valid_module(path: str, ring: FusionRing) -> mt.NimRep:
     rep = files.load_module(path, ring)
     report = mt.validate_nimrep(rep)
     if not report.valid:
-        raise _Failure(EXIT_INPUT, f"{path}: invalid module ({report.violations[0].axiom})")
+        raise _Failure(f"{path}: invalid module ({report.violations[0].axiom})")
     return rep
 
 
@@ -204,7 +214,7 @@ def _cmd_flexible(args, out) -> int:
     ring = _load_valid_ring(args.ring)
     char = _load_char(args.char, ring, args.tol)
     reps = [_load_valid_module(p, ring) for p in args.modules]
-    report = mt.matched_report(ring, char, reps, args.tol)
+    report = mt.matched_report(char, reps, args.tol)
     if args.json:
         print(files.dumps(report.to_dict()), file=out)
     else:
@@ -326,55 +336,61 @@ def build_parser() -> argparse.ArgumentParser:
         prog="modtrace",
         description="Module-trace existence and quantum-dimension reports for fusion rings.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="comparison tolerance")
-    common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument(
+    tol_flag = argparse.ArgumentParser(add_help=False)
+    tol_flag.add_argument(
+        "--tol", type=_tolerance, default=DEFAULT_TOL, help="comparison tolerance, 0 <= tol < 1"
+    )
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="emit one JSON document")
+    assert_flag = argparse.ArgumentParser(add_help=False)
+    assert_flag.add_argument(
         "--assert-matched",
         action="store_true",
         help="exit 1 when a trace query is unmatched / not flexible",
     )
+    # Each verb takes only the flags it reads.
+    plain, tolerant, query = [json_flag], [tol_flag, json_flag], [tol_flag, json_flag, assert_flag]
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check the fusion ring axioms")
+    p = sub.add_parser("validate", parents=plain, help="check the fusion ring axioms")
     p.add_argument("ring")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("fp-dims", parents=[common], help="Frobenius-Perron dimensions")
+    p = sub.add_parser("fp-dims", parents=plain, help="Frobenius-Perron dimensions")
     p.add_argument("ring")
     p.set_defaults(func=_cmd_fp_dims)
 
-    p = sub.add_parser("characters", parents=[common], help="enumerate pivotal candidates")
+    p = sub.add_parser("characters", parents=tolerant, help="enumerate pivotal candidates")
     p.add_argument("ring")
     p.set_defaults(func=_cmd_characters)
 
-    p = sub.add_parser("trace", parents=[common], help="module-trace existence certificate")
+    p = sub.add_parser("trace", parents=query, help="module-trace existence certificate")
     p.add_argument("ring")
     p.add_argument("--char", required=True, help="character file or index")
     p.add_argument("--module", required=True, help="module file")
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("flexible", parents=[common], help="trace test over a module list")
+    p = sub.add_parser("flexible", parents=query, help="trace test over a module list")
     p.add_argument("ring")
     p.add_argument("--char", required=True, help="character file or index")
     p.add_argument("--modules", required=True, nargs="+", help="module files")
     p.set_defaults(func=_cmd_flexible)
 
-    p = sub.add_parser("frobenius", parents=[common], help="inner-hom algebra report")
+    p = sub.add_parser("frobenius", parents=query, help="inner-hom algebra report")
     p.add_argument("ring")
     p.add_argument("--char", required=True, help="character file or index")
     p.add_argument("--module", required=True, help="module file")
     p.add_argument("--object", required=True, type=int, help="simple module object index")
     p.set_defaults(func=_cmd_frobenius)
 
-    p = sub.add_parser("vectg", parents=[common], help="group-graded instance generator")
+    p = sub.add_parser("vectg", parents=plain, help="group-graded instance generator")
     p.add_argument("--group", required=True, help="group file or builtin (Z:<n>, S3, Z2xZ2)")
     p.add_argument("--subgroups", action="store_true", help="list all subgroups")
     p.add_argument("--characters", action="store_true", help="list the linear characters")
     p.add_argument("--emit", metavar="DIR", help="write ring/char/module files")
     p.set_defaults(func=_cmd_vectg)
 
-    p = sub.add_parser("builtin", parents=[common], help="builtin ring catalogue")
+    p = sub.add_parser("builtin", parents=plain, help="builtin ring catalogue")
     p.add_argument("name", help="fibonacci, ising, rep_s3 or zn:<n>")
     p.add_argument("--emit", metavar="DIR", help="write ring/char/module files")
     p.set_defaults(func=_cmd_builtin)
@@ -395,11 +411,8 @@ def run(argv, out=None, err=None) -> int:
         return args.func(args, out)
     except _Failure as exc:
         print(str(exc), file=err)
-        return exc.code
-    except (StructuralError, UnsupportedError, PreconditionError, UsageError) as exc:
-        print(f"error: {exc}", file=err)
         return EXIT_INPUT
-    except OSError as exc:
+    except (StructuralError, UnsupportedError, PreconditionError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT
     except NumericError as exc:

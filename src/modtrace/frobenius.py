@@ -79,7 +79,7 @@ def frobenius_report(
     if not is_indecomposable(rep):
         raise UnsupportedError("Frobenius report needs an indecomposable module")
     mults = inner_hom_multiplicities(rep, m, m)
-    q = certificate.Q.Q
+    q = certificate.Q
     dim_a = float(q[m, m].real)
     # Report a diagonal entry that is zero at the solver's scale as 0, not as
     # rounding dust; a matched Q has no such entry.
@@ -131,7 +131,7 @@ def morita_rescale_check(
     k = rep.module_rank
     if not 0 <= m < k:
         raise StructuralError(f"object index {m} out of range for rank {k}")
-    q = certificate.Q.Q
+    q = certificate.Q
     d = certificate.trace.d
     scale = complex(q[m, m] / d[m])
     max_residual = float(np.abs(q[:, m] - np.conj(d[m]) * d).max())

@@ -67,8 +67,6 @@ def validate_nimrep(rep: NimRep) -> ValidationReport:
     """
     ring, M, k = rep.ring, rep.M, rep.module_rank
     n = ring.rank
-    if M.shape != (n, k, k):
-        raise StructuralError("matrix shapes inconsistent with ranks")
     top_m, top_n = int(M.max()), int(ring.N.max())
     require_float_exact(max(k * top_m * top_m, n * top_n * top_m), "multiplicities")
     viols: list[Violation] = []

@@ -40,30 +40,13 @@ INCONCLUSIVE = "inconclusive-numeric"
 DICHOTOMY_TOL = 1e-7
 
 
-@dataclass(frozen=True, eq=False)
-class DimensionMatrix:
-    """The matrix of inner-hom dimensions ``Q[i][j] = dim <m_j, m_i>``."""
-
-    Q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.Q, dtype=complex)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise StructuralError("dimension matrix must be square")
-        q.flags.writeable = False
-        object.__setattr__(self, "Q", q)
-
-    @property
-    def size(self) -> int:
-        return self.Q.shape[0]
-
-
-def dimension_matrix(ring: FusionRing, char: DimChar, rep: NimRep) -> DimensionMatrix:
-    """Assemble ``Q = sum_u d(u) M_u`` for mutually consistent inputs."""
-    if char.ring != ring or rep.ring != ring:
+def dimension_matrix(char: DimChar, rep: NimRep) -> np.ndarray:
+    """Assemble the read-only ``Q = sum_u d(u) M_u`` of a character and a module."""
+    if char.ring != rep.ring:
         raise StructuralError("ring references of character and module disagree")
     q = np.einsum("u,ujk->jk", char.d, rep.M.astype(complex))
-    return DimensionMatrix(q)
+    q.flags.writeable = False
+    return q
 
 
 def _structural_residuals(m: np.ndarray, dim_c: float) -> tuple[float, float]:
@@ -78,17 +61,7 @@ class QPropertyReport:
     residual_square: float  #: max |Q^2 - dim(C) Q|
     residual_hermitian: float  #: max |Q - Q^dagger|
     eigen_deviation: float  #: max over eigenvalues of min(|lam|, |lam - dim(C)|)
-    scale: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        bound = self.tol * self.scale
-        return (
-            self.residual_square <= bound
-            and self.residual_hermitian <= bound
-            and self.eigen_deviation <= bound
-        )
+    passed: bool  #: every residual within ``tol * max(1, max |Q|)``
 
     def to_dict(self) -> dict:
         return {
@@ -99,16 +72,15 @@ class QPropertyReport:
         }
 
 
-def q_property_report(
-    q: DimensionMatrix, dim_c: float, tol: float = DEFAULT_TOL
-) -> QPropertyReport:
+def q_property_report(q: np.ndarray, dim_c: float, tol: float = DEFAULT_TOL) -> QPropertyReport:
     """Check ``Q^2 = dim(C) Q``, hermiticity, and the 0/dim(C) eigenvalue dichotomy."""
-    m = q.Q
-    scale = max(1.0, float(np.max(np.abs(m))))
-    residual_hermitian, residual_square = _structural_residuals(m, dim_c)
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    bound = tol * max(1.0, float(np.max(np.abs(q))))
+    residual_hermitian, residual_square = _structural_residuals(q, dim_c)
+    eigs = np.linalg.eigvalsh((q + q.conj().T) / 2.0)
     eigen_deviation = float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - dim_c))))
-    return QPropertyReport(residual_square, residual_hermitian, eigen_deviation, scale, tol)
+    # Three comparisons: max(...) <= bound would let a NaN through unless it came first.
+    passed = residual_square <= bound and residual_hermitian <= bound and eigen_deviation <= bound
+    return QPropertyReport(residual_square, residual_hermitian, eigen_deviation, passed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +93,6 @@ class ModuleTrace:
 
     d: np.ndarray
     anchor: int
-    dim_c: float
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=complex)
@@ -134,16 +105,13 @@ class ModuleTrace:
             raise StructuralError(f"index {index} out of range")
         return self.d / self.d[index]
 
-    def __len__(self) -> int:
-        return len(self.d)
-
 
 @dataclass(frozen=True, eq=False)
 class TraceCertificate:
     """Outcome of the module-trace existence test for one (char, rep) pair."""
 
     matched: bool
-    Q: DimensionMatrix
+    Q: np.ndarray  #: the read-only dimension matrix
     trace: ModuleTrace | None
     dim_c: float
     c: complex
@@ -183,8 +151,9 @@ def solve_module_trace(
     ``d_M[i] = Q[i][p] / sqrt(Q[p][p])`` at the largest diagonal entry ``p``,
     giving ``sum |d_M|^2 = trace(Q) = dim(C)`` and ``d_M[p] > 0``.
     """
-    q = dimension_matrix(ring, char, rep)
-    m = q.Q
+    if rep.ring != ring:
+        raise StructuralError("ring references of character and module disagree")
+    m = dimension_matrix(char, rep)
     mag = np.abs(m)
     dim_c = global_dimension(char)
     c = c_invariant(char)
@@ -219,14 +188,14 @@ def solve_module_trace(
     trace = None
     if matched:
         d = m[:, p] / np.sqrt(m[p, p].real)
-        trace = ModuleTrace(d, p, dim_c)
+        trace = ModuleTrace(d, p)
         residuals["right_eigen"] = float(np.abs(m @ d - dim_c * d).max())
         residuals["left_eigen"] = float(np.abs(m.T @ d - c * d).max())
         residuals["reconstruction"] = float(np.abs(m - d[:, None] * d.conj()[None, :]).max())
 
     return TraceCertificate(
         matched=matched,
-        Q=q,
+        Q=m,
         trace=trace,
         dim_c=dim_c,
         c=c,
@@ -246,9 +215,7 @@ def object_dimension(trace: ModuleTrace, multiplicities) -> complex:
     return complex(mult @ trace.d)
 
 
-def fp_module_trace(
-    ring: FusionRing, rep: NimRep, tol: float = 1e-8
-) -> np.ndarray:
+def fp_module_trace(rep: NimRep, tol: float = 1e-8) -> np.ndarray:
     """The canonical positive trace vector of an indecomposable NIM-rep.
 
     Returns the Perron vector ``w`` of ``sum_u M_u``, normalised to
@@ -258,10 +225,10 @@ def fp_module_trace(
     """
     if not is_indecomposable(rep):
         raise UnsupportedError("canonical trace needs an indecomposable module")
-    fp = fp_dimensions(ring)
+    fp = fp_dimensions(rep.ring)
     _, w = perron_vector(rep.action_sum().astype(float))
     w = w * np.sqrt(float(fp @ fp))
-    for u in range(ring.rank):
+    for u in range(rep.ring.rank):
         resid = np.max(np.abs(rep.M[u].T @ w - fp[u] * w))
         if resid > tol * max(1.0, fp[u]):
             raise NumericError(
@@ -286,13 +253,11 @@ class MatchedReport:
         }
 
 
-def matched_report(
-    ring: FusionRing, char: DimChar, reps: list[NimRep], tol: float = DEFAULT_TOL
-) -> MatchedReport:
+def matched_report(char: DimChar, reps: list[NimRep], tol: float = DEFAULT_TOL) -> MatchedReport:
     """Run the trace test over a list of modules; flexible = all matched."""
     if not reps:
         raise StructuralError("matched_report requires at least one module")
-    certs = tuple(solve_module_trace(ring, char, rep, tol) for rep in reps)
+    certs = tuple(solve_module_trace(char.ring, char, rep, tol) for rep in reps)
     return MatchedReport(certs, all(c.matched for c in certs))
 
 
@@ -316,7 +281,6 @@ class SphericalReport:
 
 
 def spherical_certificate(
-    ring: FusionRing,
     char: DimChar,
     reps: list[NimRep],
     tol: float = DEFAULT_TOL,
@@ -337,7 +301,7 @@ def spherical_certificate(
     else:
         verdict = INCONCLUSIVE
 
-    certs = tuple(solve_module_trace(ring, char, rep, tol) for rep in reps)
+    certs = tuple(solve_module_trace(char.ring, char, rep, tol) for rep in reps)
     witness = None
     for idx, cert in enumerate(certs):
         if cert.matched and np.max(np.abs(cert.trace.d.imag)) <= tol * max(

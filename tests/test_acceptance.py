@@ -50,9 +50,9 @@ def test_criterion_1_vectg_exhaustive_oracle_agreement():
 def test_criterion_2_q_structural_properties():
     count = 0
     for label, ring, char, rep in instance_universe(max_zn=10):
-        q = mt.dimension_matrix(ring, char, rep)
+        q = mt.dimension_matrix(char, rep)
         dim_c = mt.global_dimension(char)
-        m = q.Q
+        m = q
         assert np.max(np.abs(m @ m - dim_c * m)) < 1e-8, label
         assert np.max(np.abs(m - m.conj().T)) < 1e-10, label
         report = mt.q_property_report(q, dim_c)
@@ -70,7 +70,7 @@ def test_criterion_3_eigenvector_contracts():
             continue
         matched += 1
         d = cert.trace.d
-        m = cert.Q.Q
+        m = cert.Q
         assert np.max(np.abs(m @ d - cert.dim_c * d)) < 1e-8, label
         assert np.max(np.abs(m.T @ d - cert.c * d)) < 1e-8, label
         assert cert.residuals["left_eigen"] < 1e-8, label
@@ -98,7 +98,7 @@ def test_criterion_4_pseudo_unitary_flexibility():
             assert mt.is_indecomposable(rep)
             cert = mt.solve_module_trace(ring, fp_char, rep)
             assert cert.matched, name
-            canonical = mt.fp_module_trace(ring, rep)
+            canonical = mt.fp_module_trace(rep)
             assert np.max(np.abs(cert.trace.d - canonical)) < 1e-8, name
             checked += 1
     print(
@@ -142,7 +142,7 @@ def test_criterion_7_frobenius_positivity_and_rescale():
         cert = mt.solve_module_trace(ring, char, rep)
         if not cert.matched:
             continue
-        q = cert.Q.Q
+        q = cert.Q
         d = cert.trace.d
         for m in range(rep.module_rank):
             assert q[m, m].real > 1e-9, label
@@ -166,7 +166,7 @@ def test_criterion_8_existence_test_oracle_equivalence():
     for idx in picks:
         label, ring, char, rep = pool[idx]
         cert = mt.solve_module_trace(ring, char, rep)
-        if cert.matched != trace_exists_bruteforce(cert.Q.Q, cert.dim_c):
+        if cert.matched != trace_exists_bruteforce(cert.Q, cert.dim_c):
             disagreements.append(label)
     assert disagreements == []
     print("criterion 8 PASS: minor test agrees with eigenspace search on 200 random instances")

@@ -218,6 +218,32 @@ def test_unknown_flag_exits_2(fib_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1"])
+@pytest.mark.parametrize("verb", ["characters", "trace"])
+def test_tol_outside_unit_interval_exits_2(verb, tol, fib_dir, capsys):
+    argv = [verb, str(fib_dir / "ring.json"), "--tol", tol]
+    if verb == "trace":
+        argv += ["--char", str(fib_dir / "char-01.json"), "--module", str(fib_dir / "module-regular.json")]
+    code, out, _ = invoke(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert "error: argument --tol" in err and "Traceback" not in err
+
+
+def test_flags_only_on_verbs_that_read_them(fib_dir, capsys):
+    ring = str(fib_dir / "ring.json")
+    for argv in (["validate", ring, "--tol", "1e-6"], ["characters", ring, "--assert-matched"]):
+        code, out, _ = invoke(*argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, _ = invoke(
+        "trace", ring, "--char", "0", "--module", str(fib_dir / "module-regular.json"),
+        "--tol", "1e-6", "--assert-matched", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["matched"] is True
+
+
 def test_unknown_verb_exits_2():
     code, _, _ = invoke("frobnicate")
     assert code == 2

@@ -26,7 +26,7 @@ def test_inner_hom_pairs_with_characters():
     ring = mt.builtin("ising")[0]
     char = mt.DimChar(ring, [1, 1, np.sqrt(2)])
     rep = mt.regular_module(ring)
-    q = mt.dimension_matrix(ring, char, rep).Q
+    q = mt.dimension_matrix(char, rep)
     for i in range(3):
         for j in range(3):
             mults = mt.inner_hom_multiplicities(rep, i, j)
@@ -82,7 +82,7 @@ def test_morita_rescale_fibonacci():
     check = mt.morita_rescale_check(ring, char, rep, 1, cert)
     assert abs(check.scale - PHI) < 1e-10  # Q[tau][tau] / d[tau] = phi^2 / phi
     assert check.ok
-    q = cert.Q.Q
+    q = cert.Q
     assert abs(q[0, 1] - PHI * cert.trace.d[0]) < 1e-10
 
 
@@ -95,7 +95,7 @@ def test_morita_rescale_z3():
     check = mt.morita_rescale_check(ring, char, rep, 1, cert)
     assert abs(check.scale - OMEGA**2) < 1e-10  # 1 / omega
     assert check.ok
-    q = cert.Q.Q
+    q = cert.Q
     for n in range(3):
         assert abs(q[n, 1] - OMEGA**2 * cert.trace.d[n]) < 1e-10
 
@@ -107,7 +107,7 @@ def test_morita_rescale_trivial_at_anchor():
         cert = mt.solve_module_trace(ring, chars[0], rep)
         m = cert.trace.anchor
         check = mt.morita_rescale_check(ring, chars[0], rep, m, cert)
-        q = cert.Q.Q
+        q = cert.Q
         assert abs(check.scale * cert.trace.d[m] - q[m, m]) < 1e-10
 
 
@@ -142,7 +142,7 @@ def test_unmatched_instances_expose_an_obstruction():
         cert = mt.solve_module_trace(ring, char, rep)
         if cert.matched:
             continue
-        q = cert.Q.Q
+        q = cert.Q
         diag_ok = np.min(np.abs(np.diag(q))) <= 1e-9
         minor_ok = cert.residuals["max_minor"] > 1e-9
         assert diag_ok or minor_ok, label

@@ -269,7 +269,7 @@ def test_trivial_character_flexible_over_all_subgroup_modules():
         ring = mt.group_ring(table)
         triv = mt.group_characters(table)[0]
         mods = [mt.vect_g_module(table, H) for H in mt.subgroups(table)]
-        assert mt.matched_report(ring, triv, mods).flexible
+        assert mt.matched_report(triv, mods).flexible
 
 
 def test_matched_trace_equals_character_on_coset_reps():

@@ -34,17 +34,17 @@ def z2_setup():
 
 def test_dimension_matrix_fibonacci_regular():
     ring, golden, _, reg = fib_setup()
-    q = mt.dimension_matrix(ring, golden, reg).Q
+    q = mt.dimension_matrix(golden, reg)
     assert np.allclose(q, [[1, PHI], [PHI, PHI**2]], atol=1e-12)
 
 
 def test_dimension_matrix_z2_subgroup():
     table, ring, _, sign = z2_setup()
     single = mt.vect_g_module(table, (0, 1))
-    q = mt.dimension_matrix(ring, sign, single).Q
+    q = mt.dimension_matrix(sign, single)
     assert np.allclose(q, [[0.0]], atol=1e-12)
     reg = mt.vect_g_module(table, (0,))
-    q2 = mt.dimension_matrix(ring, sign, reg).Q
+    q2 = mt.dimension_matrix(sign, reg)
     assert np.allclose(q2, [[1, -1], [-1, 1]], atol=1e-12)
 
 
@@ -52,12 +52,48 @@ def test_dimension_matrix_ring_mismatch():
     ring, golden, _, _ = fib_setup()
     other = mt.regular_module(mt.builtin("ising")[0])
     with pytest.raises(mt.StructuralError):
-        mt.dimension_matrix(ring, golden, other)
+        mt.dimension_matrix(golden, other)
+
+
+@pytest.mark.parametrize("foreign", [0, 1, 2], ids=["ring", "char", "rep"])
+def test_solve_ring_mismatch(foreign):
+    ring, golden, _, reg = fib_setup()
+    ising = mt.builtin("ising")[0]
+    args = [ring, golden, reg]
+    args[foreign] = [ising, mt.DimChar(ising, [1, 1, ROOT2]), mt.regular_module(ising)][foreign]
+    with pytest.raises(mt.StructuralError):
+        mt.solve_module_trace(*args)
+
+
+def test_dimension_matrix_is_read_only_complex():
+    ring, golden, _, reg = fib_setup()
+    cert = mt.solve_module_trace(ring, golden, reg)
+    for q in (mt.dimension_matrix(golden, reg), cert.Q):
+        assert isinstance(q, np.ndarray) and q.dtype == complex
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0, 0] = 0
+
+
+@pytest.mark.parametrize("position", ["hermitian", "square", "eigen"])
+def test_q_property_report_fails_on_nan_residual(position, monkeypatch):
+    from modtrace import solver
+
+    ring, golden, _, reg = fib_setup()
+    q = mt.dimension_matrix(golden, reg)
+    nan = float("nan")
+    if position == "eigen":
+        monkeypatch.setattr(solver.np.linalg, "eigvalsh", lambda m: np.array([0.0, nan]))
+    else:
+        residuals = (nan, 0.0) if position == "hermitian" else (0.0, nan)
+        monkeypatch.setattr(solver, "_structural_residuals", lambda m, dim_c: residuals)
+    report = mt.q_property_report(q, mt.global_dimension(golden))
+    assert report.passed is False
 
 
 def test_q_properties_fibonacci():
     ring, golden, _, reg = fib_setup()
-    q = mt.dimension_matrix(ring, golden, reg)
+    q = mt.dimension_matrix(golden, reg)
     report = mt.q_property_report(q, mt.global_dimension(golden))
     assert report.passed
     assert report.residual_square < 1e-9
@@ -67,7 +103,7 @@ def test_q_properties_fibonacci():
 def test_q_properties_zero_matrix():
     table, ring, _, sign = z2_setup()
     single = mt.vect_g_module(table, (0, 1))
-    q = mt.dimension_matrix(ring, sign, single)
+    q = mt.dimension_matrix(sign, single)
     report = mt.q_property_report(q, 2.0)
     assert report.passed  # 0^2 = 2 * 0 and all eigenvalues are 0
 
@@ -75,10 +111,10 @@ def test_q_properties_zero_matrix():
 def test_q_properties_ising_rank_one():
     ring = mt.builtin("ising")[0]
     char = mt.DimChar(ring, [1, 1, ROOT2])
-    q = mt.dimension_matrix(ring, char, mt.regular_module(ring))
+    q = mt.dimension_matrix(char, mt.regular_module(ring))
     expected = np.array([[1, 1, ROOT2], [1, 1, ROOT2], [ROOT2, ROOT2, 2]])
-    assert np.allclose(q.Q, expected, atol=1e-12)
-    assert np.allclose(q.Q @ q.Q, 4 * q.Q, atol=1e-12)
+    assert np.allclose(q, expected, atol=1e-12)
+    assert np.allclose(q @ q, 4 * q, atol=1e-12)
     assert mt.q_property_report(q, 4.0).passed
 
 
@@ -124,7 +160,7 @@ def test_trace_normalisation_and_anchor():
             continue
         d = cert.trace.d
         assert abs(np.sum(np.abs(d) ** 2) - cert.dim_c) < 1e-8, label
-        assert abs(np.trace(cert.Q.Q).real - cert.dim_c) < 1e-8, label
+        assert abs(np.trace(cert.Q).real - cert.dim_c) < 1e-8, label
         anchor = cert.trace.anchor
         assert abs(d[anchor].imag) < 1e-10 and d[anchor].real > 0, label
 
@@ -171,30 +207,30 @@ def test_object_dimension_additive(n1, n2):
 def test_fp_module_trace_examples():
     fib = mt.builtin("fibonacci")[0]
     assert np.allclose(
-        mt.fp_module_trace(fib, mt.regular_module(fib)), [1.0, PHI], atol=1e-10
+        mt.fp_module_trace(mt.regular_module(fib)), [1.0, PHI], atol=1e-10
     )
     ising = mt.builtin("ising")[0]
     assert np.allclose(
-        mt.fp_module_trace(ising, mt.regular_module(ising)), [1, 1, ROOT2], atol=1e-10
+        mt.fp_module_trace(mt.regular_module(ising)), [1, 1, ROOT2], atol=1e-10
     )
     z2 = mt.group_ring(mt.cyclic_table(2))
-    assert np.allclose(mt.fp_module_trace(z2, mt.regular_module(z2)), [1, 1], atol=1e-12)
+    assert np.allclose(mt.fp_module_trace(mt.regular_module(z2)), [1, 1], atol=1e-12)
 
 
 def test_fp_module_trace_rejects_decomposable():
     fib = mt.builtin("fibonacci")[0]
     reg = mt.regular_module(fib)
     with pytest.raises(mt.UnsupportedError):
-        mt.fp_module_trace(fib, mt.direct_sum(reg, reg))
+        mt.fp_module_trace(mt.direct_sum(reg, reg))
 
 
 def test_matched_report_z2():
     table, ring, triv, sign = z2_setup()
     mods = [mt.vect_g_module(table, (0,)), mt.vect_g_module(table, (0, 1))]
-    rep_triv = mt.matched_report(ring, triv, mods)
+    rep_triv = mt.matched_report(triv, mods)
     assert rep_triv.flexible
     assert all(c.matched for c in rep_triv.certificates)
-    rep_sign = mt.matched_report(ring, sign, mods)
+    rep_sign = mt.matched_report(sign, mods)
     assert not rep_sign.flexible
     assert [c.matched for c in rep_sign.certificates] == [True, False]
     assert "supplied" in rep_sign.note
@@ -202,21 +238,21 @@ def test_matched_report_z2():
 
 def test_matched_report_fibonacci_fp():
     ring = mt.builtin("fibonacci")[0]
-    report = mt.matched_report(ring, mt.fp_character(ring), [mt.regular_module(ring)])
+    report = mt.matched_report(mt.fp_character(ring), [mt.regular_module(ring)])
     assert report.flexible
 
 
 def test_matched_report_empty_list():
     ring, golden, _, _ = fib_setup()
     with pytest.raises(mt.StructuralError):
-        mt.matched_report(ring, golden, [])
+        mt.matched_report(golden, [])
 
 
 def test_spherical_certificate_z3():
     table = mt.cyclic_table(3)
     ring = mt.group_ring(table)
     char = mt.group_characters(table)[1]
-    report = mt.spherical_certificate(ring, char, [mt.regular_module(ring)])
+    report = mt.spherical_certificate(char, [mt.regular_module(ring)])
     assert abs(report.c) < 1e-10
     assert report.verdict == "non-spherical"
     assert report.certificates[0].matched
@@ -227,7 +263,7 @@ def test_spherical_certificate_z3():
 def test_spherical_certificate_ising():
     ring = mt.builtin("ising")[0]
     char = mt.DimChar(ring, [1, 1, ROOT2])
-    report = mt.spherical_certificate(ring, char, [mt.regular_module(ring)])
+    report = mt.spherical_certificate(char, [mt.regular_module(ring)])
     assert abs(report.c - 4.0) < 1e-12
     assert report.verdict == "spherical"
     assert report.witness == 0
@@ -237,11 +273,11 @@ def test_spherical_certificate_z2_sign():
     # spherical with a real witness, yet not flexible over all modules:
     # the verdicts stay independent.
     table, ring, _, sign = z2_setup()
-    report = mt.spherical_certificate(ring, sign, [mt.vect_g_module(table, (0,))])
+    report = mt.spherical_certificate(sign, [mt.vect_g_module(table, (0,))])
     assert report.verdict == "spherical"
     assert abs(report.c - 2.0) < 1e-12
     assert report.witness == 0
-    full = mt.matched_report(ring, sign, [mt.vect_g_module(table, (0, 1))])
+    full = mt.matched_report(sign, [mt.vect_g_module(table, (0, 1))])
     assert not full.flexible
 
 
@@ -252,7 +288,7 @@ def test_eigenvector_scale_uniqueness():
         cert = mt.solve_module_trace(ring, char, rep)
         if not cert.matched:
             continue
-        q, d = cert.Q.Q, cert.trace.d
+        q, d = cert.Q, cert.trace.d
         k = rep.module_rank
         noise = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         candidate = q @ noise / cert.dim_c  # projection onto the trace eigenspace
@@ -280,10 +316,10 @@ def test_direct_sum_block_consistency():
             for b in range(a, len(matched_mods)):
                 rep1, rep2 = matched_mods[a], matched_mods[b]
                 total = mt.direct_sum(rep1, rep2)
-                big = mt.dimension_matrix(ring, char, total).Q
+                big = mt.dimension_matrix(char, total)
                 k1 = rep1.module_rank
-                q1 = mt.dimension_matrix(ring, char, rep1).Q
-                q2 = mt.dimension_matrix(ring, char, rep2).Q
+                q1 = mt.dimension_matrix(char, rep1)
+                q2 = mt.dimension_matrix(char, rep2)
                 assert np.allclose(big[:k1, :k1], q1, atol=1e-12)
                 assert np.allclose(big[k1:, k1:], q2, atol=1e-12)
                 assert np.max(np.abs(big[:k1, k1:])) < 1e-12
@@ -317,14 +353,14 @@ def test_minor_test_agrees_with_bruteforce_on_small_instances():
     for idx in picks:
         label, ring, char, rep = pool[idx]
         cert = mt.solve_module_trace(ring, char, rep)
-        oracle = trace_exists_bruteforce(cert.Q.Q, cert.dim_c)
+        oracle = trace_exists_bruteforce(cert.Q, cert.dim_c)
         if cert.matched != oracle:
             disagreements.append(label)
     assert disagreements == []
 
 
 def _assert_pivoted_test_matches_all_minors(cert, label):
-    q = cert.Q.Q
+    q = cert.Q
     bound = mt.DEFAULT_TOL * max(1.0, float(np.max(np.abs(q))))
     assert cert.diagnostics == diagnostics_bruteforce(q), label
     pivoted = cert.residuals["max_minor"] >= bound
@@ -362,7 +398,7 @@ def test_pivoted_rank_test_on_zero_q():
     table, ring, _, sign = z2_setup()
     single = mt.vect_g_module(table, (0, 1))
     cert = mt.solve_module_trace(ring, sign, single)
-    assert np.array_equal(cert.Q.Q, [[0.0]])
+    assert np.array_equal(cert.Q, [[0.0]])
     assert cert.residuals["max_minor"] == 0.0
     assert cert.diagnostics == ("zero entry in Q", "zero diagonal")
 
@@ -377,7 +413,7 @@ def _off_diagonal_instance(m0, m1, d1):
 def test_pivoted_rank_test_with_off_diagonal_largest_entry():
     eye = np.eye(2, dtype=int)
     rank_one = _off_diagonal_instance(eye, [[0, 4], [1, 0]], 0.5)  # [[1, 2], [0.5, 1]]
-    assert np.argmax(np.abs(rank_one.Q.Q)) == 1
+    assert np.argmax(np.abs(rank_one.Q)) == 1
     assert rank_one.residuals["max_minor"] == 0.0
     assert rank_one.matched
     _assert_pivoted_test_matches_all_minors(rank_one, "rank one")
