@@ -27,10 +27,12 @@ from .common import (
     close,
     collect_violations,
 )
-from .fusion import FusionRing, fp_dimensions
+from .fusion import FusionRing, fp_dimensions, fusion_matrices
 
 #: Seeds tried for the weighted eigenproblem before giving up.
 ENUMERATION_RETRIES = 8
+#: Distance below which :func:`snap_components` clamps a component to 0 or +-1.
+SNAP_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,14 +73,14 @@ def validate_dim_char(char: DimChar, tol: float = DEFAULT_TOL) -> ValidationRepo
     prod = np.einsum("abc,c->ab", ring.N, d)
     outer = np.outer(d, d)
     collect_violations(~close(outer, prod, tol), "multiplicativity", outer, prod, viols)
-    collect_violations(np.abs(d) <= tol, "nonzero", d, np.full(ring.rank, "nonzero"), viols)
+    collect_violations(close(d, 0.0, tol), "nonzero", d, np.full(ring.rank, "nonzero"), viols)
     dual_d, conj_d = d[ring.dual], np.conj(d)
     collect_violations(~close(dual_d, conj_d, tol), "duality", dual_d, conj_d, viols)
     return ValidationReport(tuple(viols))
 
 
-def snap_components(values: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """Clamp real/imaginary parts to 0 or +-1 when within ``tol``.
+def snap_components(values: np.ndarray) -> np.ndarray:
+    """Clamp real/imaginary parts to 0 or +-1 when within :data:`SNAP_TOL`.
 
     Character entries are algebraic numbers; components this close to the
     clamp targets are those values up to roundoff, so clamping only removes
@@ -87,8 +89,8 @@ def snap_components(values: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     out = np.array(values, dtype=complex)
     for target in (0.0, 1.0, -1.0):
         re, im = out.real.copy(), out.imag.copy()
-        re[np.abs(re - target) < tol] = target
-        im[np.abs(im - target) < tol] = target
+        re[np.abs(re - target) < SNAP_TOL] = target
+        im[np.abs(im - target) < SNAP_TOL] = target
         out = re + 1j * im
     return out
 
@@ -139,7 +141,7 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
         raise UnsupportedError("character enumeration requires a commutative ring")
     n = ring.rank
     # stack[a] = N_a, complex once so the products below cast nothing
-    stack = ring.N.transpose(0, 2, 1).astype(complex, order="C")
+    stack = fusion_matrices(ring).astype(complex, order="C")
 
     for seed in range(ENUMERATION_RETRIES):
         rng = np.random.default_rng(seed)

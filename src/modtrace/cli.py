@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -64,7 +65,7 @@ def _tolerance(text: str) -> float:
         tol = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    # NaN fails both comparisons; at tol >= 1 even d(unit) = 1 fails the nonzero check |d| > tol.
+    # NaN fails both comparisons; at tol >= 1 every entry x has |x| <= tol * max(1, |x|).
     if not 0.0 <= tol < 1.0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite tolerance with 0 <= tol < 1")
     return tol
@@ -231,10 +232,10 @@ def _cmd_frobenius(args, out) -> int:
     char = _load_char(args.char, ring, args.tol)
     rep = _load_valid_module(args.module, ring)
     cert = mt.solve_module_trace(ring, char, rep, args.tol)
-    frob = mt.frobenius_report(ring, char, rep, args.object, cert, args.tol)
+    frob = mt.frobenius_report(ring, char, rep, args.object, cert)
     morita = None
     if cert.matched:
-        morita = mt.morita_rescale_check(ring, char, rep, args.object, cert, args.tol)
+        morita = mt.morita_rescale_check(ring, char, rep, args.object, cert)
     if args.json:
         payload = cert.to_dict()
         payload["frobenius"] = frob.to_dict()
@@ -404,7 +405,9 @@ def run(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes --help to sys.stdout and usage errors to sys.stderr
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -7,8 +7,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Default absolute tolerance; comparisons scale it by max(1, magnitudes).
+#: Default tolerance of :func:`negligible` and :func:`close`.
 DEFAULT_TOL = 1e-9
+
+
+def negligible(residual: float, scale: float, tol: float = DEFAULT_TOL) -> bool:
+    """The tolerance rule of every verdict: ``residual <= tol * max(1, scale)``, as a ``bool``.
+
+    ``scale`` is the size of what the residual is made of; ``tol = 0`` means exact and NaN is
+    never negligible.  Exempt, as they decide no verdict: the dust clamp of ``snap_components``,
+    the eigenvalue-gap reseed of ``enumerate_characters``, the 9-decimal ``char_sort_key`` and
+    the exact ``2**53`` guards; and the independent oracles ``matched_vectg_oracle`` and
+    ``fp_module_trace``, which must not share the rule they check.
+    """
+    return bool(residual <= tol * max(1.0, scale))
 
 
 class StructuralError(ValueError):
@@ -32,7 +44,7 @@ class UsageError(ValueError):
 
 
 def close(x, y, tol: float = DEFAULT_TOL):
-    """Elementwise ``|x - y| <= tol * max(1, |x|, |y|)`` for real or complex scalars or arrays."""
+    """:func:`negligible` elementwise: ``|x - y| <= tol * max(1, |x|, |y|)``."""
     return np.abs(x - y) <= tol * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
 
 

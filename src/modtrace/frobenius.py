@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import (
-    DEFAULT_TOL,
     PreconditionError,
     StructuralError,
     UnsupportedError,
     complex_pair,
+    negligible,
 )
 from .chars import DimChar
 from .fusion import FusionRing
@@ -68,29 +68,26 @@ def frobenius_report(
     rep: NimRep,
     m: int,
     certificate: TraceCertificate,
-    tol: float = DEFAULT_TOL,
 ) -> FrobeniusReport:
     """Frobenius data of ``<m, m>`` on an indecomposable module.
 
     ``dim(A) = Q[m][m]`` and haploidity (unit multiplicity one) holds by the
     unit axiom; positivity of ``dim(A)`` is exactly the trace-existence
-    obstruction visible on the diagonal.
+    obstruction visible on the diagonal; a ``dim(A)`` negligible at scale ``max|Q|`` reads 0.
     """
     if not is_indecomposable(rep):
         raise UnsupportedError("Frobenius report needs an indecomposable module")
     mults = inner_hom_multiplicities(rep, m, m)
     q = certificate.Q
     dim_a = float(q[m, m].real)
-    # Report a diagonal entry that is zero at the solver's scale as 0, not as
-    # rounding dust; a matched Q has no such entry.
-    if not certificate.matched and abs(q[m, m]) <= tol * max(1.0, float(np.abs(q).max())):
+    if negligible(abs(q[m, m]), float(np.abs(q).max()), certificate.tol):
         dim_a = 0.0
     return FrobeniusReport(
         object_index=m,
         multiplicities=mults,
         dim_a=dim_a,
         haploid=bool(mults[ring.unit] == 1),
-        positivity_ok=dim_a > tol,
+        positivity_ok=dim_a > 0.0,
     )
 
 
@@ -118,13 +115,12 @@ def morita_rescale_check(
     rep: NimRep,
     m: int,
     certificate: TraceCertificate,
-    tol: float = DEFAULT_TOL,
 ) -> MoritaRescaleReport:
     """Verify ``Q[n][m] = conj(d_M[m]) * d_M[n]`` for every module simple ``n``.
 
     With the trace normalised by ``sum |d_M|^2 = dim(C)`` the rescale factor
     ``Q[m][m] / d_M[m]`` collapses to ``conj(d_M[m])``, so the identity is the
-    anchor-column reconstruction of ``Q``.
+    anchor-column reconstruction of ``Q``; ``ok`` when its residual is negligible at ``max|Q|``.
     """
     if not certificate.matched:
         raise PreconditionError("Morita rescale check requires a matched certificate")
@@ -135,10 +131,9 @@ def morita_rescale_check(
     d = certificate.trace.d
     scale = complex(q[m, m] / d[m])
     max_residual = float(np.abs(q[:, m] - np.conj(d[m]) * d).max())
-    bound = tol * max(1.0, float(np.abs(q).max()))
     return MoritaRescaleReport(
         object_index=m,
         scale=scale,
         max_residual=max_residual,
-        ok=max_residual <= bound,
+        ok=negligible(max_residual, float(np.abs(q).max()), certificate.tol),
     )

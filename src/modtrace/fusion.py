@@ -175,13 +175,13 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     return ValidationReport(tuple(viols))
 
 
-def fusion_matrices(ring: FusionRing) -> list[np.ndarray]:
-    """Left-multiplication matrices ``(N_a)[c][b] = N[a][b][c]``.
+def fusion_matrices(ring: FusionRing) -> np.ndarray:
+    """Left-multiplication matrices ``(N_a)[c][b] = N[a][b][c]``, a read-only ``(n, n, n)`` view.
 
     Rows index the output simple, columns the input simple, so the matrices
     satisfy ``N_a @ N_b = sum_e N[a][b][e] N_e`` and ``N_{a*} = N_a.T``.
     """
-    return [ring.N[a].T.copy() for a in range(ring.rank)]
+    return ring.N.transpose(0, 2, 1)
 
 
 def perron_vector(mat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -208,10 +208,6 @@ def fp_dimensions(ring: FusionRing) -> np.ndarray:
     eigenvalue ``(N_a v)_k / v_k`` at the largest component ``k``.
     """
     mats = fusion_matrices(ring)
-    total = np.zeros((ring.rank, ring.rank), dtype=np.int64)
-    for m in mats:
-        total += m
-    _, v = perron_vector(total.astype(float))
+    _, v = perron_vector(mats.sum(axis=0).astype(float))
     k = int(np.argmax(v))
-    dims = np.array([float((m @ v)[k] / v[k]) for m in mats])
-    return dims
+    return (mats @ v)[:, k] / v[k]

@@ -231,19 +231,19 @@ def span(table: GroupTable, generators) -> tuple[int, ...]:
     return tuple(np.flatnonzero(_close(table, mask)[0]).tolist())
 
 
-def subgroups(table: GroupTable, bound: int = SUBGROUP_ORDER_BOUND) -> list[tuple[int, ...]]:
+def subgroups(table: GroupTable) -> list[tuple[int, ...]]:
     """All subgroups, by closure of one-generator extensions.
 
     ``<H, x>`` depends only on the left coset ``xH``, so each subgroup is
     extended by the smallest element of each coset other than ``H`` itself,
     a whole level of subgroups at a time.  Sorted by size, then
-    lexicographically.  Groups of order beyond ``bound`` (default 64) are
-    rejected to keep the enumeration tractable.
+    lexicographically.  Groups of order beyond :data:`SUBGROUP_ORDER_BOUND`
+    are rejected to keep the enumeration tractable.
     """
     g, mul = table.order, table.mul
-    if g > bound:
+    if g > SUBGROUP_ORDER_BOUND:
         raise UnsupportedError(
-            f"subgroup enumeration is limited to order <= {bound} (got {g})"
+            f"subgroup enumeration is limited to order <= {SUBGROUP_ORDER_BOUND} (got {g})"
         )
     frontier = np.zeros((1, g), dtype=bool)
     frontier[0, table.identity] = True

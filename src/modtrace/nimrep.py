@@ -99,7 +99,7 @@ def validate_nimrep(rep: NimRep) -> ValidationReport:
 
 def regular_module(ring: FusionRing) -> NimRep:
     """The ring acting on itself: ``M_u = N_u``."""
-    return NimRep(ring, ring.rank, np.stack(fusion_matrices(ring)))
+    return NimRep(ring, ring.rank, np.ascontiguousarray(fusion_matrices(ring)))
 
 
 def direct_sum(rep1: NimRep, rep2: NimRep) -> NimRep:

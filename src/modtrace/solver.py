@@ -26,6 +26,7 @@ from .common import (
     StructuralError,
     UnsupportedError,
     complex_pair,
+    negligible,
 )
 from .chars import DimChar, c_invariant, global_dimension
 from .fusion import FusionRing, fp_dimensions, perron_vector
@@ -35,9 +36,6 @@ from .nimrep import NimRep, is_indecomposable
 SPHERICAL = "spherical"
 NON_SPHERICAL = "non-spherical"
 INCONCLUSIVE = "inconclusive-numeric"
-
-#: Tolerance of the C-invariant dichotomy (C = dim(C) or C = 0).
-DICHOTOMY_TOL = 1e-7
 
 
 def dimension_matrix(char: DimChar, rep: NimRep) -> np.ndarray:
@@ -61,7 +59,7 @@ class QPropertyReport:
     residual_square: float  #: max |Q^2 - dim(C) Q|
     residual_hermitian: float  #: max |Q - Q^dagger|
     eigen_deviation: float  #: max over eigenvalues of min(|lam|, |lam - dim(C)|)
-    passed: bool  #: every residual within ``tol * max(1, max |Q|)``
+    passed: bool  #: every residual negligible at its scale
 
     def to_dict(self) -> dict:
         return {
@@ -73,13 +71,16 @@ class QPropertyReport:
 
 
 def q_property_report(q: np.ndarray, dim_c: float, tol: float = DEFAULT_TOL) -> QPropertyReport:
-    """Check ``Q^2 = dim(C) Q``, hermiticity, and the 0/dim(C) eigenvalue dichotomy."""
-    bound = tol * max(1.0, float(np.max(np.abs(q))))
+    """Check ``Q^2 = dim(C) Q`` (at scale ``max|Q|**2``), hermiticity and the 0/dim(C) spectrum."""
+    s = float(np.max(np.abs(q)))
     residual_hermitian, residual_square = _structural_residuals(q, dim_c)
     eigs = np.linalg.eigvalsh((q + q.conj().T) / 2.0)
     eigen_deviation = float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - dim_c))))
-    # Three comparisons: max(...) <= bound would let a NaN through unless it came first.
-    passed = residual_square <= bound and residual_hermitian <= bound and eigen_deviation <= bound
+    passed = (
+        negligible(residual_square, s * s, tol)
+        and negligible(residual_hermitian, s, tol)
+        and negligible(eigen_deviation, s, tol)
+    )
     return QPropertyReport(residual_square, residual_hermitian, eigen_deviation, passed)
 
 
@@ -118,6 +119,7 @@ class TraceCertificate:
     spherical_by_c: bool
     diagnostics: tuple[str, ...]
     residuals: dict = field(default_factory=dict)
+    tol: float = DEFAULT_TOL  #: the tolerance of the verdict; not emitted by :meth:`to_dict`
 
     def to_dict(self) -> dict:
         out = {
@@ -140,12 +142,14 @@ def solve_module_trace(
     """Decide module-trace existence and extract the trace dimension vector.
 
     ``matched`` is true iff ``Q`` has rank at most 1 and every entry of ``Q``
-    is nonzero, both at ``tol`` scaled by the largest entry of ``Q``.  The rank
+    is nonzero, by :func:`~modtrace.common.negligible` at scale ``max|Q|``
+    (``max|Q|**2`` for the minors, which are quadratic in ``Q``).  The rank
     test is O(k^2): with the pivot ``(r, s)`` at the largest entry of ``|Q|``,
     ``residuals["max_minor"]`` is the largest 2x2 minor through the pivot,
     ``max_ab |Q[r][s] Q[a][b] - Q[a][s] Q[r][b]|``, which vanishes exactly
     when the rank is at most 1 (it is 0 for ``Q = 0``).  For the positive
     semidefinite ``Q`` of valid inputs the pivot is the anchor below.
+    ``spherical_by_c`` compares ``C`` with ``dim(C)`` at scale ``dim(C)``.
 
     When matched, the vector is recovered from the anchor column:
     ``d_M[i] = Q[i][p] / sqrt(Q[p][p])`` at the largest diagonal entry ``p``,
@@ -157,23 +161,22 @@ def solve_module_trace(
     mag = np.abs(m)
     dim_c = global_dimension(char)
     c = c_invariant(char)
-    scale = max(1.0, float(mag.max()))
-    bound = tol * scale
+    scale = float(mag.max())
     diagnostics: list[str] = []
 
     # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
     # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s].
     r, s = divmod(int(mag.argmax()), m.shape[1])
     max_minor = float(np.abs(m[r, s] * m - m[:, s, None] * m[None, r, :]).max())
-    if max_minor >= bound:
+    if not negligible(max_minor, scale * scale, tol):
         diagnostics.append("rank exceeds 1")
 
     min_entry = float(mag.min())
-    if min_entry <= bound:
+    if negligible(min_entry, scale, tol):
         diagnostics.append("zero entry in Q")
 
     p = int(m.diagonal().real.argmax())
-    if m[p, p].real <= tol:
+    if negligible(m[p, p].real, scale, tol):
         diagnostics.append("zero diagonal")
 
     hermitian, q_square = _structural_residuals(m, dim_c)
@@ -199,9 +202,10 @@ def solve_module_trace(
         trace=trace,
         dim_c=dim_c,
         c=c,
-        spherical_by_c=abs(c - dim_c) < tol,
+        spherical_by_c=negligible(abs(c - dim_c), dim_c, tol),
         diagnostics=tuple(diagnostics),
         residuals=residuals,
+        tol=tol,
     )
 
 
@@ -281,22 +285,19 @@ class SphericalReport:
 
 
 def spherical_certificate(
-    char: DimChar,
-    reps: list[NimRep],
-    tol: float = DEFAULT_TOL,
-    dichotomy_tol: float = DICHOTOMY_TOL,
+    char: DimChar, reps: list[NimRep], tol: float = DEFAULT_TOL
 ) -> SphericalReport:
     """Classify the character via ``C``, with module trace vectors as witnesses.
 
-    ``C = dim(C)`` identifies spherical characters and ``C = 0`` the rest;
-    a matched module whose trace vector is real (after the fixed phase
-    convention) is recorded as an independent witness of sphericality.
+    ``C = dim(C)`` identifies spherical characters and ``C = 0`` the rest, both
+    at scale ``dim(C)``; a matched module whose trace vector is real (after the
+    fixed phase convention) is recorded as an independent witness of sphericality.
     """
     dim_c = global_dimension(char)
     c = c_invariant(char)
-    if abs(c - dim_c) < dichotomy_tol:
+    if negligible(abs(c - dim_c), dim_c, tol):
         verdict = SPHERICAL
-    elif abs(c) < dichotomy_tol:
+    elif negligible(abs(c), dim_c, tol):
         verdict = NON_SPHERICAL
     else:
         verdict = INCONCLUSIVE
@@ -304,8 +305,8 @@ def spherical_certificate(
     certs = tuple(solve_module_trace(char.ring, char, rep, tol) for rep in reps)
     witness = None
     for idx, cert in enumerate(certs):
-        if cert.matched and np.max(np.abs(cert.trace.d.imag)) <= tol * max(
-            1.0, float(np.max(np.abs(cert.trace.d)))
+        if cert.matched and negligible(
+            float(np.abs(cert.trace.d.imag).max()), float(np.abs(cert.trace.d).max()), tol
         ):
             witness = idx
             break

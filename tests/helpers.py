@@ -138,14 +138,18 @@ def max_minor_bruteforce(Q: np.ndarray) -> float:
 
 
 def diagnostics_bruteforce(Q: np.ndarray, tol: float = mt.DEFAULT_TOL) -> tuple[str, ...]:
-    """The solver's diagnostics, with the rank test decided by all 2x2 minors."""
-    bound = tol * max(1.0, float(np.max(np.abs(Q))))
+    """The solver's diagnostics, with the rank test decided by all 2x2 minors.
+
+    A residual counts as zero when at most ``tol * max(1, scale)``; the minors
+    are quadratic in ``Q``, so their scale is ``max|Q|**2``.
+    """
+    s = float(np.max(np.abs(Q)))
     out = []
-    if max_minor_bruteforce(Q) >= bound:
+    if not max_minor_bruteforce(Q) <= tol * max(1.0, s * s):
         out.append("rank exceeds 1")
-    if float(np.min(np.abs(Q))) <= bound:
+    if float(np.min(np.abs(Q))) <= tol * max(1.0, s):
         out.append("zero entry in Q")
-    if np.max(np.diag(Q).real) <= tol:
+    if np.max(np.diag(Q).real) <= tol * max(1.0, s):
         out.append("zero diagonal")
     return tuple(out)
 

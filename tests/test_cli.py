@@ -220,28 +220,47 @@ def test_unknown_flag_exits_2(fib_dir):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1"])
 @pytest.mark.parametrize("verb", ["characters", "trace"])
-def test_tol_outside_unit_interval_exits_2(verb, tol, fib_dir, capsys):
+def test_tol_outside_unit_interval_exits_2(verb, tol, fib_dir):
     argv = [verb, str(fib_dir / "ring.json"), "--tol", tol]
     if verb == "trace":
         argv += ["--char", str(fib_dir / "char-01.json"), "--module", str(fib_dir / "module-regular.json")]
-    code, out, _ = invoke(*argv)
-    err = capsys.readouterr().err
+    code, out, err = invoke(*argv)
     assert code == 2 and out == ""
     assert "error: argument --tol" in err and "Traceback" not in err
 
 
-def test_flags_only_on_verbs_that_read_them(fib_dir, capsys):
+def test_flags_only_on_verbs_that_read_them(fib_dir):
     ring = str(fib_dir / "ring.json")
     for argv in (["validate", ring, "--tol", "1e-6"], ["characters", ring, "--assert-matched"]):
-        code, out, _ = invoke(*argv)
+        code, out, err = invoke(*argv)
         assert code == 2 and out == ""
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert "unrecognized arguments" in err
     code, out, _ = invoke(
         "trace", ring, "--char", "0", "--module", str(fib_dir / "module-regular.json"),
         "--tol", "1e-6", "--assert-matched", "--json",
     )
     assert code == 0
     assert json.loads(out)["matched"] is True
+
+
+def test_exact_tolerance_matches_exact_rank_one_matrix(tmp_path):
+    d = tmp_path / "z4"
+    assert invoke("builtin", "zn:4", "--emit", str(d))[0] == 0
+    code, out, err = invoke(
+        "trace", str(d / "ring.json"), "--char", "0", "--module", str(d / "module-regular.json"),
+        "--tol", "0", "--assert-matched",
+    )
+    assert code == 0 and err == ""
+    assert "matched:   true" in out and "spherical by C: true" in out
+    assert "residual max_minor: 0\n" in out and "diagnostic" not in out
+
+
+def test_parser_messages_reach_the_callers_streams(capsys):
+    code, out, err = invoke("--help")
+    assert code == 0 and out.startswith("usage: modtrace") and err == ""
+    code, out, err = invoke("frobnicate")
+    assert code == 2 and out == "" and "invalid choice: 'frobnicate'" in err
+    assert capsys.readouterr() == ("", "")
 
 
 def test_unknown_verb_exits_2():

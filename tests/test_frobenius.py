@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,25 @@ def test_morita_rescale_requires_matched():
     cert = mt.solve_module_trace(ring, sign, rep)
     with pytest.raises(mt.PreconditionError):
         mt.morita_rescale_check(ring, sign, rep, 0, cert)
+
+
+def test_reports_decide_at_the_certificate_tolerance():
+    ring = mt.builtin("fibonacci")[0]
+    char = mt.DimChar(ring, [1.0, PHI])
+    rep = mt.regular_module(ring)
+    cert = mt.solve_module_trace(ring, char, rep)
+    assert cert.tol == mt.DEFAULT_TOL
+    # a trace vector off by a relative 1e-6, and an unmatched Q with a diagonal entry of 1e-6
+    off = mt.ModuleTrace(cert.trace.d * (1 + 1e-6), cert.trace.anchor)
+    q = cert.Q.copy()
+    q[0, 0] = 1e-6
+    for tol, negligible in ((mt.DEFAULT_TOL, False), (1e-3, True)):
+        shifted = dataclasses.replace(cert, trace=off, tol=tol)
+        assert mt.morita_rescale_check(ring, char, rep, 1, shifted).ok is negligible
+        dusty = dataclasses.replace(cert, matched=False, Q=q, trace=None, tol=tol)
+        report = mt.frobenius_report(ring, char, rep, 0, dusty)
+        assert report.dim_a == (0.0 if negligible else 1e-6)
+        assert report.positivity_ok is not negligible
 
 
 def test_dim_a_equals_squared_trace_entry():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modtrace as mt
+from modtrace.solver import SPHERICAL
 from helpers import (
     PHI,
     ROOT2,
@@ -281,6 +282,40 @@ def test_spherical_certificate_z2_sign():
     assert not full.flexible
 
 
+@pytest.mark.parametrize("n", [4, 12])
+def test_exact_tolerance_matches_trivial_character_on_every_coset_module(n):
+    # Q is an exact integer matrix here, so every residual is exactly 0
+    table = mt.cyclic_table(n)
+    ring = mt.group_ring(table)
+    trivial = mt.group_characters(table)[0]
+    assert np.array_equal(trivial.d, np.ones(n))
+    for sub in mt.subgroups(table):
+        cert = mt.solve_module_trace(ring, trivial, mt.vect_g_module(table, sub), 0.0)
+        assert cert.matched and cert.spherical_by_c, sub
+        assert cert.residuals["max_minor"] == 0.0 and cert.tol == 0.0
+
+
+def test_exact_tolerance_agrees_with_vectg_oracle_on_z4():
+    # the characters of Z:4 take the exact values 1, i, -1, -i
+    table = mt.cyclic_table(4)
+    ring = mt.group_ring(table)
+    pairs = [(char, sub) for char in mt.group_characters(table) for sub in mt.subgroups(table)]
+    assert len(pairs) == 12
+    for char, sub in pairs:
+        cert = mt.solve_module_trace(ring, char, mt.vect_g_module(table, sub), 0.0)
+        assert cert.matched == mt.matched_vectg_oracle(table, sub, char), (char, sub)
+
+
+@pytest.mark.parametrize("tol", [mt.DEFAULT_TOL, 0.0])
+def test_spherical_verdict_agrees_with_every_certificate(tol):
+    count = 0
+    for label, ring, char, rep in instance_universe():
+        report = mt.spherical_certificate(char, [rep], tol)
+        assert (report.verdict == SPHERICAL) == report.certificates[0].spherical_by_c, label
+        count += 1
+    assert count > 500
+
+
 def test_eigenvector_scale_uniqueness():
     rng = np.random.default_rng(7)
     checked = 0
@@ -361,10 +396,12 @@ def test_minor_test_agrees_with_bruteforce_on_small_instances():
 
 def _assert_pivoted_test_matches_all_minors(cert, label):
     q = cert.Q
-    bound = mt.DEFAULT_TOL * max(1.0, float(np.max(np.abs(q))))
+    # the minors are quadratic in Q, so their scale is max|Q|**2
+    s = float(np.max(np.abs(q)))
+    bound = mt.DEFAULT_TOL * max(1.0, s * s)
     assert cert.diagnostics == diagnostics_bruteforce(q), label
-    pivoted = cert.residuals["max_minor"] >= bound
-    assert pivoted == (max_minor_bruteforce(q) >= bound), label
+    pivoted = cert.residuals["max_minor"] > bound
+    assert pivoted == (max_minor_bruteforce(q) > bound), label
 
 
 def test_pivoted_rank_test_matches_all_minors_on_universe():
