@@ -13,6 +13,7 @@ categorical structure is not decided here.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,8 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
 
     The fusion matrices ``N_a`` commute and are normal (``N_{a*} = N_a.T``),
     so they share one orthonormal eigenbasis, and the ring characters are
-    read off it.  With complex Gaussian weights ``w``, ``A = sum_a w_a N_a``
+    read off it.  With complex Gaussian weights ``w`` (from the seeded stdlib
+    ``random.Random``, which unlike ``numpy.random`` loads no OpenSSL), ``A = sum_a w_a N_a``
     gives the hermitian ``H = A + A^dagger``, whose eigenvalue on the common
     eigenvector of a character ``chi`` is ``2 Re(sum_a w_a chi(a))``; one
     ``eigh`` of ``H`` finds that basis.  If two sorted eigenvalues of ``H``
@@ -134,18 +136,22 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
     error, so no refinement step follows.  All quotients come from one
     ``(n^2, n) @ (n, n)`` product and one contraction, O(n^4) in total.
 
-    Candidates failing :func:`validate_dim_char` (zero entries, duality) are
-    dropped; the rest are returned in descending :func:`char_sort_key` order.
+    Candidates failing :func:`validate_dim_char` (zero entries, duality) at
+    ``max(tol, DEFAULT_TOL)`` are dropped; the rest are returned in descending
+    :func:`char_sort_key` order.  The floor keeps every character at ``tol = 0``:
+    computed entries carry rounding error, so an exact check would drop each
+    irrational one.
     """
     if not ring.is_commutative():
         raise UnsupportedError("character enumeration requires a commutative ring")
     n = ring.rank
+    check_tol = max(tol, DEFAULT_TOL)
     # stack[a] = N_a, complex once so the products below cast nothing
     stack = fusion_matrices(ring).astype(complex, order="C")
 
     for seed in range(ENUMERATION_RETRIES):
-        rng = np.random.default_rng(seed)
-        weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rng = random.Random(seed)
+        weights = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * n)]).view(complex)
         a = np.tensordot(weights, stack, 1)
         vals, vecs = np.linalg.eigh(a + a.conj().T)
         if n > 1 and np.diff(vals).min() < 1e-8 * max(1.0, float(np.abs(vals).max())):
@@ -160,7 +166,7 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
         kept = []
         for key, c in zip(keys, chars):
             cand = DimChar(ring, c)
-            if validate_dim_char(cand, tol).valid:
+            if validate_dim_char(cand, check_tol).valid:
                 kept.append((key, cand))
         kept.sort(key=lambda pair: pair[0], reverse=True)
         return [cand for _, cand in kept]
@@ -179,10 +185,10 @@ def conjugate_char(char: DimChar) -> DimChar:
     return DimChar(char.ring, np.conj(char.d))
 
 
-def is_spherical(char: DimChar, tol: float = DEFAULT_TOL) -> bool:
+def is_spherical(char: DimChar) -> bool:
     """True iff ``d(a) = d(a*)`` for every simple, i.e. all dimensions real."""
     d = char.d
-    return bool(np.all(close(d, d[char.ring.dual], tol)))
+    return bool(np.all(close(d, d[char.ring.dual])))
 
 
 def global_dimension(char: DimChar) -> float:

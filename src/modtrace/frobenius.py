@@ -80,7 +80,7 @@ def frobenius_report(
     mults = inner_hom_multiplicities(rep, m, m)
     q = certificate.Q
     dim_a = float(q[m, m].real)
-    if negligible(abs(q[m, m]), float(np.abs(q).max()), certificate.tol):
+    if negligible(abs(q[m, m]), certificate.scale, certificate.tol):
         dim_a = 0.0
     return FrobeniusReport(
         object_index=m,
@@ -135,5 +135,5 @@ def morita_rescale_check(
         object_index=m,
         scale=scale,
         max_residual=max_residual,
-        ok=negligible(max_residual, float(np.abs(q).max()), certificate.tol),
+        ok=negligible(max_residual, certificate.scale, certificate.tol),
     )

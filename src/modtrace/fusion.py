@@ -9,7 +9,6 @@ dimensions are floating point.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -98,6 +97,8 @@ class FusionRing:
         """First 12 hex digits of the SHA-256 of the compact JSON form; computed once per ring."""
         cached = self.__dict__.get("_hash")
         if cached is None:
+            import hashlib  # here, not at the top: it loads OpenSSL, which only hashing callers need
+
             blob = json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=False)
             cached = self.__dict__["_hash"] = hashlib.sha256(blob.encode()).hexdigest()[:12]
         return cached

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .common import (
-    DEFAULT_TOL,
     StructuralError,
     UnsupportedError,
 )
@@ -298,7 +297,12 @@ def vect_g_module(table: GroupTable, H) -> NimRep:
     return NimRep(group_ring(table), k, M)
 
 
-def matched_vectg_oracle(table: GroupTable, H, kappa, tol: float = DEFAULT_TOL) -> bool:
+#: Absolute bound of :func:`matched_vectg_oracle` on ``|kappa(h) - 1|``; the oracle's
+#: own, apart from :func:`~modtrace.common.negligible`.
+ORACLE_TOL = 1e-9
+
+
+def matched_vectg_oracle(table: GroupTable, H, kappa) -> bool:
     """Closed-form trace-existence test: ``kappa`` restricts trivially to ``H``.
 
     Independent of the dimension-matrix machinery; used to cross-validate the
@@ -306,4 +310,4 @@ def matched_vectg_oracle(table: GroupTable, H, kappa, tol: float = DEFAULT_TOL) 
     """
     values = kappa.d if isinstance(kappa, DimChar) else np.asarray(kappa, dtype=complex)
     elems = np.flatnonzero(_subgroup_mask(table, H))
-    return all(abs(values[h] - 1.0) <= tol for h in elems)
+    return all(abs(values[h] - 1.0) <= ORACLE_TOL for h in elems)

@@ -16,7 +16,7 @@ characters and ``C = 0`` otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,16 +70,16 @@ class QPropertyReport:
         }
 
 
-def q_property_report(q: np.ndarray, dim_c: float, tol: float = DEFAULT_TOL) -> QPropertyReport:
+def q_property_report(q: np.ndarray, dim_c: float) -> QPropertyReport:
     """Check ``Q^2 = dim(C) Q`` (at scale ``max|Q|**2``), hermiticity and the 0/dim(C) spectrum."""
     s = float(np.max(np.abs(q)))
     residual_hermitian, residual_square = _structural_residuals(q, dim_c)
     eigs = np.linalg.eigvalsh((q + q.conj().T) / 2.0)
     eigen_deviation = float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - dim_c))))
     passed = (
-        negligible(residual_square, s * s, tol)
-        and negligible(residual_hermitian, s, tol)
-        and negligible(eigen_deviation, s, tol)
+        negligible(residual_square, s * s)
+        and negligible(residual_hermitian, s)
+        and negligible(eigen_deviation, s)
     )
     return QPropertyReport(residual_square, residual_hermitian, eigen_deviation, passed)
 
@@ -109,7 +109,11 @@ class ModuleTrace:
 
 @dataclass(frozen=True, eq=False)
 class TraceCertificate:
-    """Outcome of the module-trace existence test for one (char, rep) pair."""
+    """Outcome of the module-trace existence test for one (char, rep) pair.
+
+    The fields are what the verdict and the trace vector read; the identities
+    the verdict implies are reported by :attr:`residuals`, computed on first read.
+    """
 
     matched: bool
     Q: np.ndarray  #: the read-only dimension matrix
@@ -118,8 +122,37 @@ class TraceCertificate:
     c: complex
     spherical_by_c: bool
     diagnostics: tuple[str, ...]
-    residuals: dict = field(default_factory=dict)
+    max_minor: float  #: largest 2x2 minor through the pivot at the largest entry of ``|Q|``
+    min_entry: float  #: smallest entry of ``|Q|``
+    scale: float  #: ``max|Q|``, the scale of every verdict on ``Q``
     tol: float = DEFAULT_TOL  #: the tolerance of the verdict; not emitted by :meth:`to_dict`
+
+    @property
+    def residuals(self) -> dict:
+        """Check residuals by name; computed on first read, once per certificate.
+
+        ``hermitian`` is ``max|Q - Q^dagger|`` and ``q_square`` is
+        ``max|Q^2 - dim(C) Q|``; a matched certificate adds ``right_eigen``
+        (``max|Q d - dim(C) d|``), ``left_eigen`` (``max|Q^T d - C d|``) and
+        ``reconstruction`` (``max|Q - d d^dagger|``) of its trace vector ``d``.
+        """
+        residuals = self.__dict__.get("_residuals")
+        if residuals is None:
+            m, dim_c = self.Q, self.dim_c
+            hermitian, q_square = _structural_residuals(m, dim_c)
+            residuals = {
+                "hermitian": hermitian,
+                "q_square": q_square,
+                "max_minor": self.max_minor,
+                "min_entry": self.min_entry,
+            }
+            if self.trace is not None:
+                d = self.trace.d
+                residuals["right_eigen"] = float(np.abs(m @ d - dim_c * d).max())
+                residuals["left_eigen"] = float(np.abs(m.T @ d - self.c * d).max())
+                residuals["reconstruction"] = float(np.abs(m - d[:, None] * d.conj()[None, :]).max())
+            self.__dict__["_residuals"] = residuals
+        return residuals
 
     def to_dict(self) -> dict:
         out = {
@@ -145,7 +178,7 @@ def solve_module_trace(
     is nonzero, by :func:`~modtrace.common.negligible` at scale ``max|Q|``
     (``max|Q|**2`` for the minors, which are quadratic in ``Q``).  The rank
     test is O(k^2): with the pivot ``(r, s)`` at the largest entry of ``|Q|``,
-    ``residuals["max_minor"]`` is the largest 2x2 minor through the pivot,
+    ``max_minor`` is the largest 2x2 minor through the pivot,
     ``max_ab |Q[r][s] Q[a][b] - Q[a][s] Q[r][b]|``, which vanishes exactly
     when the rank is at most 1 (it is 0 for ``Q = 0``).  For the positive
     semidefinite ``Q`` of valid inputs the pivot is the anchor below.
@@ -153,7 +186,8 @@ def solve_module_trace(
 
     When matched, the vector is recovered from the anchor column:
     ``d_M[i] = Q[i][p] / sqrt(Q[p][p])`` at the largest diagonal entry ``p``,
-    giving ``sum |d_M|^2 = trace(Q) = dim(C)`` and ``d_M[p] > 0``.
+    giving ``sum |d_M|^2 = trace(Q) = dim(C)`` and ``d_M[p] > 0``.  Nothing
+    else is computed here; the certificate's check residuals wait for their first read.
     """
     if rep.ring != ring:
         raise StructuralError("ring references of character and module disagree")
@@ -161,12 +195,12 @@ def solve_module_trace(
     mag = np.abs(m)
     dim_c = global_dimension(char)
     c = c_invariant(char)
-    scale = float(mag.max())
     diagnostics: list[str] = []
 
     # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
     # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s].
     r, s = divmod(int(mag.argmax()), m.shape[1])
+    scale = float(mag[r, s])
     max_minor = float(np.abs(m[r, s] * m - m[:, s, None] * m[None, r, :]).max())
     if not negligible(max_minor, scale * scale, tol):
         diagnostics.append("rank exceeds 1")
@@ -179,23 +213,8 @@ def solve_module_trace(
     if negligible(m[p, p].real, scale, tol):
         diagnostics.append("zero diagonal")
 
-    hermitian, q_square = _structural_residuals(m, dim_c)
-    residuals = {
-        "hermitian": hermitian,
-        "q_square": q_square,
-        "max_minor": max_minor,
-        "min_entry": min_entry,
-    }
-
     matched = not diagnostics
-    trace = None
-    if matched:
-        d = m[:, p] / np.sqrt(m[p, p].real)
-        trace = ModuleTrace(d, p)
-        residuals["right_eigen"] = float(np.abs(m @ d - dim_c * d).max())
-        residuals["left_eigen"] = float(np.abs(m.T @ d - c * d).max())
-        residuals["reconstruction"] = float(np.abs(m - d[:, None] * d.conj()[None, :]).max())
-
+    trace = ModuleTrace(m[:, p] / np.sqrt(m[p, p].real), p) if matched else None
     return TraceCertificate(
         matched=matched,
         Q=m,
@@ -204,7 +223,9 @@ def solve_module_trace(
         c=c,
         spherical_by_c=negligible(abs(c - dim_c), dim_c, tol),
         diagnostics=tuple(diagnostics),
-        residuals=residuals,
+        max_minor=max_minor,
+        min_entry=min_entry,
+        scale=scale,
         tol=tol,
     )
 
@@ -219,7 +240,12 @@ def object_dimension(trace: ModuleTrace, multiplicities) -> complex:
     return complex(mult @ trace.d)
 
 
-def fp_module_trace(rep: NimRep, tol: float = 1e-8) -> np.ndarray:
+#: Bound of :func:`fp_module_trace` on each Perron eigenvector residual, relative to
+#: ``max(1, FPdim(u))``; the oracle's own, apart from :func:`~modtrace.common.negligible`.
+FP_TRACE_TOL = 1e-8
+
+
+def fp_module_trace(rep: NimRep) -> np.ndarray:
     """The canonical positive trace vector of an indecomposable NIM-rep.
 
     Returns the Perron vector ``w`` of ``sum_u M_u``, normalised to
@@ -234,7 +260,7 @@ def fp_module_trace(rep: NimRep, tol: float = 1e-8) -> np.ndarray:
     w = w * np.sqrt(float(fp @ fp))
     for u in range(rep.ring.rank):
         resid = np.max(np.abs(rep.M[u].T @ w - fp[u] * w))
-        if resid > tol * max(1.0, fp[u]):
+        if resid > FP_TRACE_TOL * max(1.0, fp[u]):
             raise NumericError(
                 f"action matrix {u} violates the Perron eigenvector relation ({resid:.2e})"
             )

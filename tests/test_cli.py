@@ -255,6 +255,23 @@ def test_exact_tolerance_matches_exact_rank_one_matrix(tmp_path):
     assert "residual max_minor: 0\n" in out and "diagnostic" not in out
 
 
+@pytest.mark.parametrize("name, count", [("fibonacci", 2), ("zn:6", 6)])
+def test_exact_tolerance_keeps_every_character(name, count, tmp_path):
+    # characters are validated at max(tol, DEFAULT_TOL): their entries carry rounding error
+    d = tmp_path / "ring"
+    assert invoke("builtin", name, "--emit", str(d))[0] == 0
+    ring = str(d / "ring.json")
+    code, out, err = invoke("characters", ring, "--tol", "0", "--json")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["characters"]) == count
+    for char in ("0", str(d / "char-01.json")):
+        code, out, err = invoke(
+            "trace", ring, "--char", char, "--module", str(d / "module-regular.json"), "--tol", "0", "--json"
+        )
+        assert code == 0 and err == "", char
+        assert json.loads(out)["dimC"] > 0
+
+
 def test_parser_messages_reach_the_callers_streams(capsys):
     code, out, err = invoke("--help")
     assert code == 0 and out.startswith("usage: modtrace") and err == ""

@@ -69,6 +69,23 @@ def test_each_verb_loads_only_its_layers(verbs, absent, emitted, tmp_path):
     assert _loaded_after(body, _layers(*absent)) == []
 
 
+def test_solve_path_loads_no_numpy_random_and_no_hashlib(emitted):
+    # numpy.random loads secrets -> hmac -> hashlib -> OpenSSL; only hashing callers need hashlib
+    pinned = ["numpy.random", "hashlib"]
+    if _loaded_after("import numpy", pinned):
+        pytest.skip("this numpy loads numpy.random on import")
+    solve = """
+ring = modtrace.group_ring(modtrace.cyclic_table(12))
+chars = modtrace.enumerate_characters(ring)
+assert len(chars) == 12
+assert modtrace.solve_module_trace(ring, chars[1], modtrace.regular_module(ring)).matched
+"""
+    assert _loaded_after(solve, pinned) == []
+    validate = ["validate", str(emitted / "ring.json")]
+    body = f"import io\nfrom modtrace import cli\nassert cli.run({validate!r}, out=io.StringIO()) == 0\n"
+    assert _loaded_after(body, pinned) == ["hashlib"]
+
+
 def test_every_public_name_is_its_layers_object():
     for name, layer in mt._LAYER_OF.items():
         module = importlib.import_module(f"modtrace.{layer}")

@@ -466,3 +466,78 @@ def test_pivoted_rank_test_with_off_diagonal_largest_entry():
     assert nilpotent.residuals["max_minor"] == 1.0
     assert nilpotent.diagnostics == ("rank exceeds 1", "zero entry in Q", "zero diagonal")
     _assert_pivoted_test_matches_all_minors(nilpotent, "nilpotent")
+
+
+def _eager_residuals(cert) -> dict:
+    """The check residuals as the solver computed them before they became lazy."""
+    m, dim_c = cert.Q, cert.dim_c
+    mag = np.abs(m)
+    r, s = divmod(int(mag.argmax()), m.shape[1])
+    out = {
+        "hermitian": float(np.abs(m - m.conj().T).max()),
+        "q_square": float(np.abs(m @ m - dim_c * m).max()),
+        "max_minor": float(np.abs(m[r, s] * m - m[:, s, None] * m[None, r, :]).max()),
+        "min_entry": float(mag.min()),
+    }
+    if cert.matched:
+        p = int(m.diagonal().real.argmax())
+        d = m[:, p] / np.sqrt(m[p, p].real)
+        out["right_eigen"] = float(np.abs(m @ d - dim_c * d).max())
+        out["left_eigen"] = float(np.abs(m.T @ d - cert.c * d).max())
+        out["reconstruction"] = float(np.abs(m - d[:, None] * d.conj()[None, :]).max())
+    return out
+
+
+def test_lazy_residuals_equal_the_eager_formulas_on_universe():
+    count = 0
+    for label, ring, char, rep in instance_universe(max_zn=12):
+        cert = mt.solve_module_trace(ring, char, rep)
+        expected = _eager_residuals(cert)
+        assert list(cert.residuals.items()) == list(expected.items()), label
+        assert cert.residuals is cert.residuals  # computed once
+        assert list(cert.to_dict()["residuals"].items()) == list(expected.items()), label
+        count += 1
+    assert count > 900
+
+
+def test_verdict_path_computes_no_check_residual(monkeypatch):
+    from modtrace import solver
+
+    def refuse(m, dim_c):
+        raise AssertionError("check residual computed")
+
+    monkeypatch.setattr(solver, "_structural_residuals", refuse)
+    fib, golden, _, fib_reg = fib_setup()
+    table, z2, _, sign = z2_setup()
+    pairs = [(fib, golden, fib_reg, True), (z2, sign, mt.vect_g_module(table, (0, 1)), False)]
+    for ring, char, rep, matched in pairs:
+        cert = mt.solve_module_trace(ring, char, rep)
+        assert cert.matched is matched
+        assert (cert.trace is not None) is matched and cert.dim_c > 0 and isinstance(cert.c, complex)
+        assert cert.diagnostics == (() if matched else ("zero entry in Q", "zero diagonal"))
+        assert mt.frobenius_report(ring, char, rep, 0, cert).positivity_ok is matched
+        if matched:
+            assert mt.morita_rescale_check(ring, char, rep, 0, cert).ok
+        else:
+            with pytest.raises(mt.PreconditionError):
+                mt.morita_rescale_check(ring, char, rep, 0, cert)
+        with pytest.raises(AssertionError, match="check residual computed"):
+            cert.residuals
+
+
+def test_rank_from_trace_agrees_with_verdict_on_universe():
+    # Q^2 = dim(C) Q makes Q / dim(C) a projection, so its trace is the rank of Q
+    ranks = set()
+    for label, ring, char, rep in instance_universe(max_zn=12):
+        cert = mt.solve_module_trace(ring, char, rep)
+        t = complex(np.trace(cert.Q)) / cert.dim_c
+        rank = round(t.real)
+        assert abs(t - rank) <= 1e-9, label
+        # singular values are 0 or dim(C); the default threshold, relative to the
+        # largest one, would count a Q of pure rounding dust as rank 1
+        assert rank == np.linalg.matrix_rank(cert.Q, tol=1e-9 * cert.dim_c), label
+        if cert.matched:
+            assert rank == 1, label
+        assert ("rank exceeds 1" in cert.diagnostics) == (rank >= 2), label
+        ranks.add(rank)
+    assert {0, 1, 2} <= ranks
