@@ -58,6 +58,8 @@ def _load_dict(path) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise StructuralError(f"{path}: not valid JSON (nested too deeply)") from None
     except UnicodeDecodeError as exc:
         raise StructuralError(f"{path}: not UTF-8 text ({exc})") from None
     if not isinstance(data, dict):

@@ -65,6 +65,8 @@ class FusionRing:
         if n < 1:
             raise StructuralError("rank must be a positive integer")
         object.__setattr__(self, "rank", n)
+        if not isinstance(self.labels, (list, tuple)):
+            raise StructuralError("labels must be a list")
         labels = tuple(str(s) for s in self.labels)
         if len(labels) != n:
             raise StructuralError(f"expected {n} labels, got {len(labels)}")

@@ -218,18 +218,6 @@ def _close(table: GroupTable, sets: np.ndarray) -> np.ndarray:
         sets = products
 
 
-def span(table: GroupTable, generators) -> tuple[int, ...]:
-    """The subgroup generated by a set of elements, as a sorted index tuple."""
-    gens = sorted({int(x) for x in generators})
-    for x in gens:
-        if not 0 <= x < table.order:
-            raise StructuralError(f"generator {x} out of range")
-    mask = np.zeros((1, table.order), dtype=bool)
-    mask[0, gens] = True
-    mask[0, table.identity] = True
-    return tuple(np.flatnonzero(_close(table, mask)[0]).tolist())
-
-
 def subgroups(table: GroupTable) -> list[tuple[int, ...]]:
     """All subgroups, by closure of one-generator extensions.
 

@@ -17,6 +17,7 @@ characters and ``C = 0`` otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,11 +32,6 @@ from .common import (
 from .chars import DimChar, c_invariant, global_dimension
 from .fusion import FusionRing, fp_dimensions, perron_vector
 from .nimrep import NimRep, is_indecomposable
-
-#: Verdict strings used by :func:`spherical_certificate`.
-SPHERICAL = "spherical"
-NON_SPHERICAL = "non-spherical"
-INCONCLUSIVE = "inconclusive-numeric"
 
 
 def dimension_matrix(char: DimChar, rep: NimRep) -> np.ndarray:
@@ -60,14 +56,6 @@ class QPropertyReport:
     residual_hermitian: float  #: max |Q - Q^dagger|
     eigen_deviation: float  #: max over eigenvalues of min(|lam|, |lam - dim(C)|)
     passed: bool  #: every residual negligible at its scale
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "residual_square": self.residual_square,
-            "residual_hermitian": self.residual_hermitian,
-            "eigen_deviation": self.eigen_deviation,
-        }
 
 
 def q_property_report(q: np.ndarray, dim_c: float) -> QPropertyReport:
@@ -100,12 +88,6 @@ class ModuleTrace:
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
 
-    def unit_normalized(self, index: int) -> np.ndarray:
-        """The trace vector rescaled so the entry at ``index`` equals 1."""
-        if not 0 <= index < len(self.d):
-            raise StructuralError(f"index {index} out of range")
-        return self.d / self.d[index]
-
 
 @dataclass(frozen=True, eq=False)
 class TraceCertificate:
@@ -125,7 +107,7 @@ class TraceCertificate:
     max_minor: float  #: largest 2x2 minor through the pivot at the largest entry of ``|Q|``
     min_entry: float  #: smallest entry of ``|Q|``
     scale: float  #: ``max|Q|``, the scale of every verdict on ``Q``
-    tol: float = DEFAULT_TOL  #: the tolerance of the verdict; not emitted by :meth:`to_dict`
+    tol: float  #: the tolerance of the verdict; not emitted by :meth:`to_dict`
 
     @property
     def residuals(self) -> dict:
@@ -230,16 +212,6 @@ def solve_module_trace(
     )
 
 
-def object_dimension(trace: ModuleTrace, multiplicities) -> complex:
-    """Trace dimension of a direct sum: ``sum_i n_i d_M[i]``."""
-    mult = np.asarray(multiplicities)
-    if mult.shape != trace.d.shape:
-        raise StructuralError(
-            f"multiplicity vector has shape {mult.shape}, expected {trace.d.shape}"
-        )
-    return complex(mult @ trace.d)
-
-
 #: Bound of :func:`fp_module_trace` on each Perron eigenvector residual, relative to
 #: ``max(1, FPdim(u))``; the oracle's own, apart from :func:`~modtrace.common.negligible`.
 FP_TRACE_TOL = 1e-8
@@ -273,7 +245,7 @@ class MatchedReport:
 
     certificates: tuple[TraceCertificate, ...]
     flexible: bool
-    note: str = "flexible relative to the supplied module list only"
+    note: ClassVar[str] = "flexible relative to the supplied module list only"
 
     def to_dict(self) -> dict:
         return {
@@ -289,51 +261,3 @@ def matched_report(char: DimChar, reps: list[NimRep], tol: float = DEFAULT_TOL) 
         raise StructuralError("matched_report requires at least one module")
     certs = tuple(solve_module_trace(char.ring, char, rep, tol) for rep in reps)
     return MatchedReport(certs, all(c.matched for c in certs))
-
-
-@dataclass(frozen=True, eq=False)
-class SphericalReport:
-    """Sphericality evidence: the C dichotomy plus any real trace witness."""
-
-    c: complex
-    dim_c: float
-    verdict: str
-    witness: int | None  #: index of a matched module with an all-real trace vector
-    certificates: tuple[TraceCertificate, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "C": complex_pair(self.c),
-            "dimC": self.dim_c,
-            "verdict": self.verdict,
-            "witness": self.witness,
-        }
-
-
-def spherical_certificate(
-    char: DimChar, reps: list[NimRep], tol: float = DEFAULT_TOL
-) -> SphericalReport:
-    """Classify the character via ``C``, with module trace vectors as witnesses.
-
-    ``C = dim(C)`` identifies spherical characters and ``C = 0`` the rest, both
-    at scale ``dim(C)``; a matched module whose trace vector is real (after the
-    fixed phase convention) is recorded as an independent witness of sphericality.
-    """
-    dim_c = global_dimension(char)
-    c = c_invariant(char)
-    if negligible(abs(c - dim_c), dim_c, tol):
-        verdict = SPHERICAL
-    elif negligible(abs(c), dim_c, tol):
-        verdict = NON_SPHERICAL
-    else:
-        verdict = INCONCLUSIVE
-
-    certs = tuple(solve_module_trace(char.ring, char, rep, tol) for rep in reps)
-    witness = None
-    for idx, cert in enumerate(certs):
-        if cert.matched and negligible(
-            float(np.abs(cert.trace.d.imag).max()), float(np.abs(cert.trace.d).max()), tol
-        ):
-            witness = idx
-            break
-    return SphericalReport(c, dim_c, verdict, witness, certs)

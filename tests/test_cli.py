@@ -354,12 +354,14 @@ MALFORMED_FIELDS = {
     "rank-list": ("fib/ring.json", '"rank": 2', '"rank": [2]'),
     "rank-fraction": ("fib/ring.json", '"rank": 2', '"rank": 2.5'),
     "unit-string": ("fib/ring.json", '"unit": 0', '"unit": "zero"'),
+    "labels-int": ("fib/ring.json", '"labels": ["1", "tau"]', '"labels": 5'),
+    "labels-null": ("fib/ring.json", '"labels": ["1", "tau"]', '"labels": null'),
     "module-rank-string": ("fib/module-regular.json", '"module_rank": 2', '"module_rank": "two"'),
     "order-string": ("z2/group.json", '"order": 2', '"order": "x"'),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS) + ["not-utf8", "directory"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS) + ["not-utf8", "directory", "deep-nesting"])
 def test_malformed_input_exits_2_with_one_line(case, fib_dir, z2_dir, tmp_path):
     ring = str(fib_dir / "ring.json")
     if case == "not-utf8":
@@ -368,6 +370,10 @@ def test_malformed_input_exits_2_with_one_line(case, fib_dir, z2_dir, tmp_path):
         argv = ["validate", str(path)]
     elif case == "directory":
         argv = ["validate", str(tmp_path)]
+    elif case == "deep-nesting":
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000)
+        argv = ["validate", str(path)]
     else:
         name, old, new = MALFORMED_FIELDS[case]
         path = tmp_path / name

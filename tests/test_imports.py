@@ -1,5 +1,6 @@
 """The lazy package namespace and the layers each CLI verb loads."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -13,6 +14,7 @@ import modtrace as mt
 from modtrace import cli
 
 SRC = str(Path(mt.__file__).resolve().parents[1])
+ROOT = Path(__file__).resolve().parents[1]
 
 # Run in a fresh interpreter: prints the modules of ``forbidden`` that are loaded after ``body``.
 CHILD = """
@@ -113,3 +115,17 @@ def test_cli_resolves_layer_names_through_the_package():
         cli.no_such_name
     with pytest.raises(AttributeError):  # not a package: only public layer names are delegated
         cli.__path__
+
+
+def test_every_public_name_has_a_reader():
+    # a reader is a layer module, the acceptance suite, the test oracles or a benchmark workload
+    readers = [p for p in sorted(Path(SRC, "modtrace").glob("*.py")) if p.name != "__init__.py"]
+    readers += [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "helpers.py", ROOT / "bench" / "workloads.py"]
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(set(mt.__all__) - read) == []

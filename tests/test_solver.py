@@ -1,12 +1,7 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import modtrace as mt
-from modtrace.solver import SPHERICAL
 from helpers import (
     PHI,
     ROOT2,
@@ -15,8 +10,6 @@ from helpers import (
     max_minor_bruteforce,
     trace_exists_bruteforce,
 )
-
-OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
 
 def fib_setup():
@@ -164,45 +157,9 @@ def test_trace_normalisation_and_anchor():
         assert abs(np.trace(cert.Q).real - cert.dim_c) < 1e-8, label
         anchor = cert.trace.anchor
         assert abs(d[anchor].imag) < 1e-10 and d[anchor].real > 0, label
-
-
-def test_object_dimension_examples():
-    ring, golden, _, reg = fib_setup()
-    cert = mt.solve_module_trace(ring, golden, reg)
-    trace = cert.trace
-    # single simples
-    assert abs(mt.object_dimension(trace, [1, 0]) - trace.d[0]) < 1e-12
-    # tau acting on m_tau decomposes as m_1 + m_tau
-    column = reg.M[1][:, 1]
-    value = mt.object_dimension(trace, column)
-    assert abs(value - (1 + PHI)) < 1e-10
-    assert abs(value - PHI * trace.d[1]) < 1e-10
-    with pytest.raises(mt.StructuralError):
-        mt.object_dimension(trace, [1, 2, 3])
-
-
-def test_object_dimension_action_compatibility():
-    for label, ring, char, rep in instance_universe(max_zn=4, with_sums=False):
-        cert = mt.solve_module_trace(ring, char, rep)
-        if not cert.matched:
-            continue
-        for u in range(ring.rank):
-            for i in range(rep.module_rank):
-                value = mt.object_dimension(cert.trace, rep.M[u][:, i])
-                assert abs(value - char.d[u] * cert.trace.d[i]) < 1e-8, label
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=2),
-    st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=2),
-)
-def test_object_dimension_additive(n1, n2):
-    ring, golden, _, reg = fib_setup()
-    trace = mt.solve_module_trace(ring, golden, reg).trace
-    total = mt.object_dimension(trace, np.array(n1) + np.array(n2))
-    parts = mt.object_dimension(trace, n1) + mt.object_dimension(trace, n2)
-    assert abs(total - parts) < 1e-9
+        # compatible with the module action: M_u^T d_M = d(u) d_M
+        action = np.einsum("uji,j->ui", rep.M, d)
+        assert np.max(np.abs(action - np.outer(char.d, d))) < 1e-8, label
 
 
 def test_fp_module_trace_examples():
@@ -249,39 +206,6 @@ def test_matched_report_empty_list():
         mt.matched_report(golden, [])
 
 
-def test_spherical_certificate_z3():
-    table = mt.cyclic_table(3)
-    ring = mt.group_ring(table)
-    char = mt.group_characters(table)[1]
-    report = mt.spherical_certificate(char, [mt.regular_module(ring)])
-    assert abs(report.c) < 1e-10
-    assert report.verdict == "non-spherical"
-    assert report.certificates[0].matched
-    assert np.allclose(report.certificates[0].trace.d, [1, OMEGA, OMEGA**2], atol=1e-10)
-    assert report.witness is None
-
-
-def test_spherical_certificate_ising():
-    ring = mt.builtin("ising")[0]
-    char = mt.DimChar(ring, [1, 1, ROOT2])
-    report = mt.spherical_certificate(char, [mt.regular_module(ring)])
-    assert abs(report.c - 4.0) < 1e-12
-    assert report.verdict == "spherical"
-    assert report.witness == 0
-
-
-def test_spherical_certificate_z2_sign():
-    # spherical with a real witness, yet not flexible over all modules:
-    # the verdicts stay independent.
-    table, ring, _, sign = z2_setup()
-    report = mt.spherical_certificate(sign, [mt.vect_g_module(table, (0,))])
-    assert report.verdict == "spherical"
-    assert abs(report.c - 2.0) < 1e-12
-    assert report.witness == 0
-    full = mt.matched_report(sign, [mt.vect_g_module(table, (0, 1))])
-    assert not full.flexible
-
-
 @pytest.mark.parametrize("n", [4, 12])
 def test_exact_tolerance_matches_trivial_character_on_every_coset_module(n):
     # Q is an exact integer matrix here, so every residual is exactly 0
@@ -304,16 +228,6 @@ def test_exact_tolerance_agrees_with_vectg_oracle_on_z4():
     for char, sub in pairs:
         cert = mt.solve_module_trace(ring, char, mt.vect_g_module(table, sub), 0.0)
         assert cert.matched == mt.matched_vectg_oracle(table, sub, char), (char, sub)
-
-
-@pytest.mark.parametrize("tol", [mt.DEFAULT_TOL, 0.0])
-def test_spherical_verdict_agrees_with_every_certificate(tol):
-    count = 0
-    for label, ring, char, rep in instance_universe():
-        report = mt.spherical_certificate(char, [rep], tol)
-        assert (report.verdict == SPHERICAL) == report.certificates[0].spherical_by_c, label
-        count += 1
-    assert count > 500
 
 
 def test_eigenvector_scale_uniqueness():
