@@ -21,7 +21,7 @@ _LAYER_OF = {
         "common": "DEFAULT_TOL NumericError PreconditionError StructuralError UnsupportedError"
         " UsageError ValidationReport Violation",
         "fusion": "FusionRing fp_dimensions fusion_matrices perron_vector validate_fusion_ring",
-        "chars": "DimChar c_invariant char_sort_key conjugate_char enumerate_characters"
+        "chars": "DimChar c_invariant conjugate_char enumerate_characters"
         " fp_character global_dimension is_spherical validate_dim_char",
         "nimrep": "NimRep direct_sum is_indecomposable regular_module validate_nimrep",
         "solver": "MatchedReport ModuleTrace QPropertyReport TraceCertificate dimension_matrix"

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .chars import DimChar, char_sort_key
+from .chars import DimChar, _characters
 from .common import UsageError
 from .fusion import FusionRing
 from .groups import GroupTable, cyclic_table, direct_product, group_characters, group_ring
@@ -80,20 +80,12 @@ def builtin_group(name: str) -> GroupTable:
             n = int(name[2:])
         except ValueError:
             raise UsageError(f"bad cyclic group order in {name!r}") from None
-        if n < 1:
-            raise UsageError("cyclic group order must be positive")
         return cyclic_table(n)
     if name == "S3":
         return s3_table()
     if name == "Z2xZ2":
         return direct_product(cyclic_table(2), cyclic_table(2))
     raise UsageError(f"unknown builtin group {name!r} (available: {', '.join(BUILTIN_GROUPS)})")
-
-
-def _sorted_chars(ring: FusionRing, vectors) -> list[DimChar]:
-    chars = [DimChar(ring, np.asarray(v, dtype=complex)) for v in vectors]
-    chars.sort(key=lambda ch: char_sort_key(ch.d), reverse=True)
-    return chars
 
 
 def builtin(name: str) -> tuple[FusionRing, list[DimChar]]:
@@ -105,14 +97,14 @@ def builtin(name: str) -> tuple[FusionRing, list[DimChar]]:
     """
     if name == "fibonacci":
         ring = fibonacci_ring()
-        return ring, _sorted_chars(ring, [[1.0, GOLDEN], [1.0, 1.0 - GOLDEN]])
+        return ring, _characters(ring, [[1.0, GOLDEN], [1.0, 1.0 - GOLDEN]])
     if name == "ising":
         ring = ising_ring()
         root2 = math.sqrt(2.0)
-        return ring, _sorted_chars(ring, [[1.0, 1.0, root2], [1.0, 1.0, -root2]])
+        return ring, _characters(ring, [[1.0, 1.0, root2], [1.0, 1.0, -root2]])
     if name == "rep_s3":
         ring = rep_s3_ring()
-        return ring, _sorted_chars(ring, [[1.0, 1.0, 2.0], [1.0, 1.0, -1.0]])
+        return ring, _characters(ring, [[1.0, 1.0, 2.0], [1.0, 1.0, -1.0]])
     if name.startswith("zn:"):
         try:
             n = int(name[3:])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -65,19 +66,41 @@ class DimChar:
         return f"DimChar([{vals}])"
 
 
+def _axiom_checks(ring: FusionRing, rows: np.ndarray, tol: float):
+    """Yield ``(axiom, mask, lhs, rhs, prefix)`` on the rows of an ``(m, n)`` array, row first.
+
+    In reporting order: unit, multiplicativity one first index ``a`` at a time
+    (O(mn) memory, not O(mn^2)), nonzero, duality; the tolerance is floored at
+    :data:`DEFAULT_TOL`.  A true ``mask`` entry fails at index ``prefix + position``.
+    """
+    tol = max(tol, DEFAULT_TOL)
+    m, n = rows.shape
+    unit = np.zeros((m, n), dtype=bool)
+    unit[:, ring.unit] = ~close(rows[:, ring.unit], 1.0, tol)
+    yield "unit", unit, rows, np.broadcast_to(1.0, (m, n)), ()
+    for a in range(n):
+        outer, prod = rows[:, a, None] * rows, rows @ ring.N[a].T  # [row, b]
+        yield "multiplicativity", ~close(outer, prod, tol), outer, prod, (a,)
+    yield "nonzero", close(rows, 0.0, tol), rows, np.broadcast_to("nonzero", (m, n)), ()
+    dual, conj = rows[:, ring.dual], rows.conj()
+    yield "duality", ~close(dual, conj, tol), dual, conj, ()
+
+
 def validate_dim_char(char: DimChar, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check unit normalisation, multiplicativity, nonzero entries and duality."""
-    ring, d = char.ring, char.d
+    """Check unit normalisation, multiplicativity, nonzero entries and duality.
+
+    ``tol`` is floored at :data:`DEFAULT_TOL`: computed or decimal entries are
+    rounded, so an exact check would reject every irrational character.
+    """
     viols: list[Violation] = []
-    if not close(d[ring.unit], 1.0, tol):
-        viols.append(Violation("unit", (ring.unit,), complex(d[ring.unit]), 1.0))
-    prod = np.einsum("abc,c->ab", ring.N, d)
-    outer = np.outer(d, d)
-    collect_violations(~close(outer, prod, tol), "multiplicativity", outer, prod, viols)
-    collect_violations(close(d, 0.0, tol), "nonzero", d, np.full(ring.rank, "nonzero"), viols)
-    dual_d, conj_d = d[ring.dual], np.conj(d)
-    collect_violations(~close(dual_d, conj_d, tol), "duality", dual_d, conj_d, viols)
+    for axiom, mask, lhs, rhs, prefix in _axiom_checks(char.ring, char.d[None], tol):
+        collect_violations(mask[0], axiom, lhs[0], rhs[0], viols, prefix)
     return ValidationReport(tuple(viols))
+
+
+def _passing(ring: FusionRing, rows: np.ndarray, tol: float) -> np.ndarray:
+    """Which rows pass :func:`validate_dim_char`: the :func:`_axiom_checks` masks ORed per row."""
+    return ~np.any([mask.any(axis=1) for _, mask, *_ in _axiom_checks(ring, rows, tol)], axis=0)
 
 
 def snap_components(values: np.ndarray) -> np.ndarray:
@@ -87,35 +110,30 @@ def snap_components(values: np.ndarray) -> np.ndarray:
     clamp targets are those values up to roundoff, so clamping only removes
     eigensolver and transcendental-function dust.
     """
-    out = np.array(values, dtype=complex)
+    out = np.array(values, dtype=complex, order="C")
+    parts = out.view(float)  # re, im of each entry in turn
     for target in (0.0, 1.0, -1.0):
-        re, im = out.real.copy(), out.imag.copy()
-        re[np.abs(re - target) < SNAP_TOL] = target
-        im[np.abs(im - target) < SNAP_TOL] = target
-        out = re + 1j * im
+        parts[np.abs(parts - target) < SNAP_TOL] = target
     return out
 
 
-def char_sort_key(d: np.ndarray) -> tuple:
-    """Deterministic ordering key: the real and imaginary part of each entry
-    in turn, rounded to 9 decimals, as one flat tuple.
-
-    Characters are listed in descending order of this key, which places the
-    all-positive Frobenius-Perron character first (its entries dominate the
-    real part of every other character entrywise).
-    """
-    return _sort_keys(np.asarray(d, dtype=complex)[None])[0]
-
-
 def _sort_keys(rows: np.ndarray) -> list[tuple]:
-    """:func:`char_sort_key` of every row of a 2-d complex array, from one ``.tolist()``.
+    """Per row of a 2-d complex array, the re and im of each entry in turn, rounded to 9 decimals.
 
-    Each key is built as a list and then made a tuple of its full length:
-    no short-lived pair tuples, which the interpreter would keep on its
-    free lists across the allocator's arenas.
+    Flat tuples made from lists: short-lived pair tuples would stay on the free lists.
     """
-    parts = np.ascontiguousarray(rows).view(float)  # re, im of each entry in turn
+    parts = np.ascontiguousarray(rows).view(float)
     return [tuple([round(x, 9) for x in row]) for row in parts.tolist()]
+
+
+def _characters(ring: FusionRing, rows, keys: list[tuple] | None = None) -> list[DimChar]:
+    """The rows of a 2-d array as characters, in descending order of their :func:`_sort_keys`
+    (passed in when already made), which puts the Frobenius-Perron character first.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    keys = _sort_keys(rows) if keys is None else keys
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    return [DimChar(ring, rows[i]) for i in order]
 
 
 def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[DimChar]:
@@ -136,16 +154,12 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
     error, so no refinement step follows.  All quotients come from one
     ``(n^2, n) @ (n, n)`` product and one contraction, O(n^4) in total.
 
-    Candidates failing :func:`validate_dim_char` (zero entries, duality) at
-    ``max(tol, DEFAULT_TOL)`` are dropped; the rest are returned in descending
-    :func:`char_sort_key` order.  The floor keeps every character at ``tol = 0``:
-    computed entries carry rounding error, so an exact check would drop each
-    irrational one.
+    Candidates failing :func:`validate_dim_char` (zero entries, duality), checked all at
+    once by :func:`_passing`, are dropped; :func:`_characters` sorts the rest.
     """
     if not ring.is_commutative():
         raise UnsupportedError("character enumeration requires a commutative ring")
     n = ring.rank
-    check_tol = max(tol, DEFAULT_TOL)
     # stack[a] = N_a, complex once so the products below cast nothing
     stack = fusion_matrices(ring).astype(complex, order="C")
 
@@ -163,13 +177,8 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
         if len(set(keys)) != n:
             continue  # two eigenvectors gave the same character
 
-        kept = []
-        for key, c in zip(keys, chars):
-            cand = DimChar(ring, c)
-            if validate_dim_char(cand, check_tol).valid:
-                kept.append((key, cand))
-        kept.sort(key=lambda pair: pair[0], reverse=True)
-        return [cand for _, cand in kept]
+        keep = _passing(ring, chars, tol)
+        return _characters(ring, chars[keep], list(compress(keys, keep)))
 
     raise NumericError(
         f"degenerate eigenproblem after {ENUMERATION_RETRIES} reseeding attempts"

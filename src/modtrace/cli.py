@@ -91,8 +91,7 @@ def _load_char(source: str, ring: FusionRing, tol: float) -> mt.DimChar:
         if not 0 <= index < len(chars):
             raise UsageError(f"character index {index} out of range (ring has {len(chars)})")
         return chars[index]
-    # floored like enumeration's check: a file's decimal entries are rounded too
-    report = mt.validate_dim_char(char, max(tol, DEFAULT_TOL))
+    report = mt.validate_dim_char(char, tol)
     if not report.valid:
         raise _Failure(f"{source}: invalid character ({report.violations[0].axiom})")
     return char

@@ -25,7 +25,7 @@ from .common import (
     StructuralError,
     UnsupportedError,
 )
-from .chars import DimChar, _sort_keys, snap_components
+from .chars import DimChar, _characters, snap_components
 from .fusion import FusionRing, _int_array
 from .nimrep import NimRep
 
@@ -192,10 +192,7 @@ def group_characters(table: GroupTable) -> list[DimChar]:
     roots = np.array([np.exp(2j * np.pi * e / g) for e in range(g)])
     values = np.empty(exps.shape, dtype=complex)
     values[:, covered] = roots[exps]
-    values = snap_components(values)
-    keys = _sort_keys(values)
-    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-    return [DimChar(ring, values[i]) for i in order]
+    return _characters(ring, snap_components(values))
 
 
 #: Bytes of the boolean work array one closure step of :func:`subgroups` may use.

@@ -38,7 +38,7 @@ def dimension_matrix(char: DimChar, rep: NimRep) -> np.ndarray:
     """Assemble the read-only ``Q = sum_u d(u) M_u`` of a character and a module."""
     if char.ring != rep.ring:
         raise StructuralError("ring references of character and module disagree")
-    q = np.einsum("u,ujk->jk", char.d, rep.M.astype(complex))
+    q = np.einsum("u,ujk->jk", char.d, rep.M)
     q.flags.writeable = False
     return q
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from helpers import (
     su2_ring,
 )
 from modtrace import files
-from modtrace.chars import ENUMERATION_RETRIES
+from modtrace.chars import ENUMERATION_RETRIES, _passing, _sort_keys
 from modtrace.common import close
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
@@ -190,10 +191,11 @@ def test_builtin_chars_match_enumeration(name):
 
 
 def test_char_sort_key_is_flat_and_orders_like_pairs():
-    assert mt.char_sort_key([1.0, 1j, -0.5 + 2e-10j]) == (1.0, 0.0, 0.0, 1.0, -0.5, 0.0)
+    assert _sort_keys(np.array([[1.0, 1j, -0.5 + 2e-10j]])) == [(1.0, 0.0, 0.0, 1.0, -0.5, 0.0)]
     rng = np.random.default_rng(3)
     rows = np.round(rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3)), 1)
-    flat = sorted(range(40), key=lambda i: mt.char_sort_key(rows[i]))
+    keys = _sort_keys(rows)
+    flat = sorted(range(40), key=keys.__getitem__)
     pairs = sorted(range(40), key=lambda i: sort_key_reference(rows[i]))
     assert flat == pairs
 
@@ -352,3 +354,70 @@ def test_validate_dim_char_reports_every_violation_in_order():
     assert {v.axiom for v in expected} == {"unit", "multiplicativity", "nonzero", "duality"}
     assert list(report.violations) == expected
     assert all(type(i) is int for v in report.violations for i in v.index)
+
+
+def test_validate_dim_char_matches_loops_on_multi_term_products():
+    # products of SU(2)_8 simples have several terms, and the batched check sums
+    # them in another order: each right-hand side may differ by the rounding of its sum
+    ring = su2_ring(8)
+    d = np.array(mt.enumerate_characters(ring)[0].d)
+    d[4] *= 1.5
+    d[5] = 0.0
+    got = mt.validate_dim_char(mt.DimChar(ring, d)).violations
+    expected = _violations_by_loops(mt.DimChar(ring, d))
+    assert [v[:3] for v in got] == [v[:3] for v in expected]
+    bound = ring.rank * np.finfo(float).eps * np.einsum("abc,c->ab", ring.N, np.abs(d))
+    for g, e in zip(got, expected):
+        if e.axiom == "multiplicativity":
+            assert abs(g.rhs - e.rhs) <= bound[e.index], e
+        else:
+            assert g.rhs == e.rhs
+
+
+def _broken_rows(ring, d):
+    """Rows made from the valid character ``d`` by breaking one axiom each, keyed by that axiom."""
+    rows = {axiom: np.array(d) for axiom in ("unit", "multiplicativity", "nonzero", "duality")}
+    rows["unit"][ring.unit] = 1.1
+    rows["multiplicativity"][-1] *= 1.5
+    rows["nonzero"][-1] = 1e-10
+    rows["duality"][-1] += 0.5j  # the last simple's dual entry is no longer its conjugate
+    return rows
+
+
+@pytest.mark.parametrize("name", ["rep_s3", "fibonacci", "zn:6"])
+def test_enumeration_keep_mask_matches_validate_dim_char(name):
+    ring, chars = mt.builtin(name)
+    broken = _broken_rows(ring, chars[-1].d)
+    for axiom, row in broken.items():
+        assert axiom in {v.axiom for v in mt.validate_dim_char(mt.DimChar(ring, row)).violations}
+    rows = [ch.d for ch in chars] + list(broken.values())
+    if name == "rep_s3":
+        rows.append(np.array([1.0, -1.0, 0.0]))  # the hook: multiplicative, with a zero entry
+        hook = mt.validate_dim_char(mt.DimChar(ring, rows[-1]))
+        assert [v.axiom for v in hook.violations] == ["nonzero"]
+    rows = np.array(rows, dtype=complex)
+    for tol in (0.0, 1e-9, 0.3):
+        expected = [mt.validate_dim_char(mt.DimChar(ring, row), tol).valid for row in rows]
+        assert _passing(ring, rows, tol).tolist() == expected, tol
+    assert expected.count(True) > len(chars)  # tol = 0.3 forgives a broken row
+
+
+def test_enumerate_rep_s3_drops_the_hook():
+    ring, listed = mt.builtin("rep_s3")
+    got = mt.enumerate_characters(ring)
+    assert [ch.d.tolist() for ch in got] == [ch.d.tolist() for ch in listed]
+    assert [ch.d.tolist() for ch in got] == [[1, 1, 2], [1, 1, -1]]
+
+
+def test_enumeration_memory_is_linear_in_candidates_times_rank():
+    # the multiplicativity check runs one first index at a time; comparing
+    # all (m, n, n) products at once would peak at about 3 MB here
+    ring = mt.group_ring(mt.cyclic_table(32))
+    mt.enumerate_characters(ring)
+    tracemalloc.start()
+    try:
+        mt.enumerate_characters(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak

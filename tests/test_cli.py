@@ -290,6 +290,13 @@ def test_unknown_builtin_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_nonpositive_cyclic_order_exits_2(order):
+    assert invoke("vectg", "--group", f"Z:{order}") == (
+        2, "", "error: cyclic group order must be positive\n"
+    )
+
+
 def test_char_index_out_of_range(fib_dir):
     code, _, err = invoke(
         "trace", str(fib_dir / "ring.json"),
