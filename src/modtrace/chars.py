@@ -46,7 +46,7 @@ class DimChar:
 
     def __post_init__(self):
         try:
-            d = np.asarray(self.d, dtype=complex)
+            d = np.array(self.d, dtype=complex)  # a private copy: dim(C) and C are memoised from it
         except (TypeError, ValueError) as exc:
             raise StructuralError(f"character entries are not complex numbers: {exc}") from None
         if d.shape != (self.ring.rank,):

@@ -16,6 +16,7 @@ characters and ``C = 0`` otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -34,11 +35,29 @@ from .fusion import FusionRing, fp_dimensions, perron_vector
 from .nimrep import NimRep, is_indecomposable
 
 
+def _q_layout(rep: NimRep) -> np.ndarray:
+    """``rep.M`` as a read-only complex ``(n, k*k)`` array; built once per rep."""
+    layout = rep.__dict__.get("_q_layout")
+    if layout is None:
+        k = rep.module_rank
+        layout = rep.M.reshape(rep.ring.rank, k * k).astype(complex)
+        layout.flags.writeable = False
+        rep.__dict__["_q_layout"] = layout
+    return layout
+
+
 def dimension_matrix(char: DimChar, rep: NimRep) -> np.ndarray:
-    """Assemble the read-only ``Q = sum_u d(u) M_u`` of a character and a module."""
-    if char.ring != rep.ring:
+    """Assemble the read-only ``Q = sum_u d(u) M_u`` of a character and a module.
+
+    ``Q`` is one matrix-vector product ``d @ L`` over ``L``, the module's
+    multiplicities as a complex ``(n, k*k)`` array.  ``L`` is built on the
+    first call for a module and kept with it for as long as it lives: one
+    complex copy of ``M``, ``16 n k^2`` bytes.  Each call returns a new array.
+    """
+    if char.ring is not rep.ring and char.ring != rep.ring:
         raise StructuralError("ring references of character and module disagree")
-    q = np.einsum("u,ujk->jk", char.d, rep.M)
+    k = rep.module_rank
+    q = (char.d @ _q_layout(rep)).reshape(k, k)
     q.flags.writeable = False
     return q
 
@@ -171,7 +190,7 @@ def solve_module_trace(
     giving ``sum |d_M|^2 = trace(Q) = dim(C)`` and ``d_M[p] > 0``.  Nothing
     else is computed here; the certificate's check residuals wait for their first read.
     """
-    if rep.ring != ring:
+    if rep.ring is not ring and rep.ring != ring:
         raise StructuralError("ring references of character and module disagree")
     m = dimension_matrix(char, rep)
     mag = np.abs(m)
@@ -180,23 +199,28 @@ def solve_module_trace(
     diagnostics: list[str] = []
 
     # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
-    # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s].
-    r, s = divmod(int(mag.argmax()), m.shape[1])
-    scale = float(mag[r, s])
-    max_minor = float(np.abs(m[r, s] * m - m[:, s, None] * m[None, r, :]).max())
+    # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s].  Extremes are read
+    # at their arg-index: cheaper than a reduction on small arrays, and equal to it.
+    top = int(mag.argmax())
+    r, s = divmod(top, m.shape[1])
+    scale = mag.item(top)
+    minors = np.abs(m.item(top) * m - m[:, s, None] * m[r])
+    max_minor = minors.item(minors.argmax())
     if not negligible(max_minor, scale * scale, tol):
         diagnostics.append("rank exceeds 1")
 
-    min_entry = float(mag.min())
+    min_entry = mag.item(mag.argmin())
     if negligible(min_entry, scale, tol):
         diagnostics.append("zero entry in Q")
 
-    p = int(m.diagonal().real.argmax())
-    if negligible(m[p, p].real, scale, tol):
+    diagonal = m.diagonal().real
+    p = int(diagonal.argmax())
+    q_pp = diagonal.item(p)
+    if negligible(q_pp, scale, tol):
         diagnostics.append("zero diagonal")
 
     matched = not diagnostics
-    trace = ModuleTrace(m[:, p] / np.sqrt(m[p, p].real), p) if matched else None
+    trace = ModuleTrace(m[:, p] / math.sqrt(q_pp), p) if matched else None
     return TraceCertificate(
         matched=matched,
         Q=m,

@@ -56,6 +56,11 @@ def instance_universe(max_zn: int = 10, with_sums: bool = True):
                 yield f"{name}/char{ci}/{mlabel}", ring, char, rep
 
 
+def dimension_matrix_reference(char, rep) -> np.ndarray:
+    """``Q = sum_u d(u) M_u`` as one ``einsum``, summed in the order of ``u``."""
+    return np.einsum("u,ujk->jk", char.d, rep.M)
+
+
 def trace_exists_bruteforce(Q: np.ndarray, dim_c: float, tol: float = 1e-7) -> bool:
     """Independent existence test: search the dim(C)-eigenspace of Q for a
     nowhere-zero vector.

@@ -54,6 +54,18 @@ def test_length_mismatch_is_structural():
         mt.DimChar(ring, [1.0, 1.0, 1.0])
 
 
+def test_dim_char_copies_the_callers_array():
+    ring = mt.builtin("fibonacci")[0]
+    values = np.array([1.0, PHI], dtype=complex)
+    ch = mt.DimChar(ring, values)
+    dim_c = mt.global_dimension(ch)
+    assert values.flags.writeable
+    assert not np.shares_memory(values, ch.d)
+    values[1] = 5.0
+    assert ch.d[1] == PHI
+    assert mt.global_dimension(ch) == dim_c == float(np.sum(np.abs(ch.d) ** 2))
+
+
 def test_enumerate_z2():
     ring = mt.group_ring(mt.cyclic_table(2))
     chars = mt.enumerate_characters(ring)

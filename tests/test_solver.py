@@ -5,11 +5,16 @@ import modtrace as mt
 from helpers import (
     PHI,
     ROOT2,
+    abelian_tables_up_to,
     diagnostics_bruteforce,
+    dimension_matrix_reference,
     instance_universe,
     max_minor_bruteforce,
+    su2_characters,
+    su2_ring,
     trace_exists_bruteforce,
 )
+from modtrace import solver
 
 
 def fib_setup():
@@ -62,17 +67,78 @@ def test_solve_ring_mismatch(foreign):
 def test_dimension_matrix_is_read_only_complex():
     ring, golden, _, reg = fib_setup()
     cert = mt.solve_module_trace(ring, golden, reg)
-    for q in (mt.dimension_matrix(golden, reg), cert.Q):
-        assert isinstance(q, np.ndarray) and q.dtype == complex
-        assert not q.flags.writeable
+    q = mt.dimension_matrix(golden, reg)
+    assert q is not cert.Q and not np.shares_memory(q, cert.Q)  # a new array per call
+    layout = solver._q_layout(reg)  # kept per module
+    assert layout is solver._q_layout(reg) and layout.shape == (2, 4)
+    assert not np.shares_memory(layout, reg.M)
+    for a in (q, cert.Q, layout):
+        assert isinstance(a, np.ndarray) and a.dtype == complex
+        assert not a.flags.writeable
         with pytest.raises(ValueError):
-            q[0, 0] = 0
+            a[0, 0] = 0
+
+
+def _oracle_inputs():
+    """``(label, ring, char, rep, one_term)`` over the builtin universe (direct sums
+    included), every abelian group of order <= 24 and S3 x Z_n for n <= 4 with all
+    their characters and coset modules, and the SU(2)_k regular modules for k <= 12.
+
+    ``one_term`` marks the regular modules of group rings, where every entry of
+    ``Q`` is a single term ``d(g) * 1``.
+    """
+    for label, ring, char, rep in instance_universe(max_zn=12):
+        yield label, ring, char, rep, label.startswith("zn:") and label.endswith("/H0")
+    s3 = mt.builtin_group("S3")
+    tables = abelian_tables_up_to(24) + [("S3", s3)] + [
+        (f"S3xZ{n}", mt.direct_product(s3, mt.cyclic_table(n))) for n in range(2, 5)
+    ]
+    for name, table in tables:
+        ring = mt.group_ring(table)
+        chars = mt.group_characters(table) if table.is_abelian() else [mt.fp_character(ring)]
+        for h, H in enumerate(mt.subgroups(table)):
+            rep = mt.vect_g_module(table, H)
+            for c, char in enumerate(chars):
+                yield f"{name}/char{c}/H{h:02d}", ring, char, rep, len(H) == 1
+    for k in range(1, 13):
+        ring = su2_ring(k)
+        rep = mt.regular_module(ring)
+        for c, d in enumerate(su2_characters(k)):
+            yield f"SU2_{k}/char{c}/regular", ring, mt.DimChar(ring, d), rep, False
+
+
+def test_dimension_matrix_matches_einsum_oracle(monkeypatch):
+    # the BLAS product sums in another order than the einsum, so an entry with more
+    # than one term may change in the last bits; a single-term entry may not
+    inputs = list(_oracle_inputs())
+    assert len(inputs) > 6000
+    eps = np.finfo(float).eps
+    bounds, one_term = [], 0
+    for label, ring, char, rep, single in inputs:
+        q, ref = mt.dimension_matrix(char, rep), dimension_matrix_reference(char, rep)
+        n, k = ring.rank, rep.module_rank
+        bound = n * eps * (np.abs(char.d) @ rep.M.reshape(n, k * k)).reshape(k, k)
+        assert np.all(np.abs(q - ref) <= bound), label
+        if single:
+            assert q.tobytes() == ref.tobytes(), label
+            one_term += 1
+        bounds.append(bound)
+    assert one_term > 100
+
+    certs = [mt.solve_module_trace(ring, char, rep) for _, ring, char, rep, _ in inputs]
+    monkeypatch.setattr(solver, "dimension_matrix", dimension_matrix_reference)
+    for (label, ring, char, rep, _), cert, bound in zip(inputs, certs, bounds):
+        ref = mt.solve_module_trace(ring, char, rep)
+        assert (cert.matched, cert.diagnostics) == (ref.matched, ref.diagnostics), label
+        if cert.matched and cert.trace.anchor != ref.trace.anchor:
+            # the largest diagonal entry is tied in exact arithmetic; the dust decides
+            a, b = cert.trace.anchor, ref.trace.anchor
+            assert abs(ref.Q[a, a] - ref.Q[b, b]) <= bound[a, a] + bound[b, b], label
+    assert {cert.matched for cert in certs} == {True, False}
 
 
 @pytest.mark.parametrize("position", ["hermitian", "square", "eigen"])
 def test_q_property_report_fails_on_nan_residual(position, monkeypatch):
-    from modtrace import solver
-
     ring, golden, _, reg = fib_setup()
     q = mt.dimension_matrix(golden, reg)
     nan = float("nan")
@@ -415,8 +481,6 @@ def test_lazy_residuals_equal_the_eager_formulas_on_universe():
 
 
 def test_verdict_path_computes_no_check_residual(monkeypatch):
-    from modtrace import solver
-
     def refuse(m, dim_c):
         raise AssertionError("check residual computed")
 
