@@ -40,7 +40,16 @@ def inner_hom_multiplicities(rep: NimRep, i: int, j: int) -> np.ndarray:
     return rep.M[:, i, j].copy()
 
 
-@dataclass(frozen=True, eq=False)
+def _module_q(rep: NimRep, certificate: TraceCertificate) -> np.ndarray:
+    """The certificate's ``Q``, refused unless it has the shape of ``rep``'s dimension matrix."""
+    q = certificate.Q
+    k = rep.module_rank
+    if q.shape != (k, k):
+        raise StructuralError(f"certificate of a rank-{q.shape[0]} module given for rank {k}")
+    return q
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class FrobeniusReport:
     """Numeric Frobenius-algebra data of ``<m, m>`` for one simple ``m``."""
 
@@ -49,6 +58,13 @@ class FrobeniusReport:
     dim_a: float
     haploid: bool
     positivity_ok: bool
+
+    def __init__(self, object_index, multiplicities, dim_a, haploid, positivity_ok):
+        # one dict update instead of the frozen dataclass's setattr per field
+        self.__dict__.update({
+            "object_index": object_index, "multiplicities": multiplicities, "dim_a": dim_a,
+            "haploid": haploid, "positivity_ok": positivity_ok,
+        })
 
     def to_dict(self) -> dict:
         return {
@@ -74,24 +90,17 @@ def frobenius_report(
     ``dim(A) = Q[m][m]`` and haploidity (unit multiplicity one) holds by the
     unit axiom; positivity of ``dim(A)`` is exactly the trace-existence
     obstruction visible on the diagonal; a ``dim(A)`` negligible at scale ``max|Q|`` reads 0.
+    The certificate must be ``rep``'s: a ``Q`` that is not ``k x k`` raises ``StructuralError``.
     """
     if not is_indecomposable(rep):
         raise UnsupportedError("Frobenius report needs an indecomposable module")
     mults = inner_hom_multiplicities(rep, m, m)
-    q = certificate.Q
-    dim_a = float(q[m, m].real)
-    if negligible(abs(q[m, m]), certificate.scale, certificate.tol):
-        dim_a = 0.0
-    return FrobeniusReport(
-        object_index=m,
-        multiplicities=mults,
-        dim_a=dim_a,
-        haploid=bool(mults[ring.unit] == 1),
-        positivity_ok=dim_a > 0.0,
-    )
+    q_mm = _module_q(rep, certificate).item(m, m)
+    dim_a = 0.0 if negligible(abs(q_mm), certificate.scale, certificate.tol) else q_mm.real
+    return FrobeniusReport(m, mults, dim_a, mults.item(ring.unit) == 1, dim_a > 0.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MoritaRescaleReport:
     """Check of the dimension rescaling ``dim <m, n> = scale * d_M[n]``."""
 
@@ -99,6 +108,11 @@ class MoritaRescaleReport:
     scale: complex  #: Q[m][m] / d_M[m] = conj(d_M[m])
     max_residual: float
     ok: bool
+
+    def __init__(self, object_index, scale, max_residual, ok):
+        self.__dict__.update(
+            {"object_index": object_index, "scale": scale, "max_residual": max_residual, "ok": ok}
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -121,19 +135,19 @@ def morita_rescale_check(
     With the trace normalised by ``sum |d_M|^2 = dim(C)`` the rescale factor
     ``Q[m][m] / d_M[m]`` collapses to ``conj(d_M[m])``, so the identity is the
     anchor-column reconstruction of ``Q``; ``ok`` when its residual is negligible at ``max|Q|``.
+    The certificate must be ``rep``'s: a ``Q`` that is not ``k x k`` raises ``StructuralError``.
     """
     if not certificate.matched:
         raise PreconditionError("Morita rescale check requires a matched certificate")
+    q = _module_q(rep, certificate)
     k = rep.module_rank
     if not 0 <= m < k:
         raise StructuralError(f"object index {m} out of range for rank {k}")
-    q = certificate.Q
     d = certificate.trace.d
+    # numpy's complex division, not Python's: the two differ in the last bit
     scale = complex(q[m, m] / d[m])
-    max_residual = float(np.abs(q[:, m] - np.conj(d[m]) * d).max())
+    residuals = np.abs(q[:, m] - d.item(m).conjugate() * d)
+    max_residual = residuals.item(residuals.argmax())
     return MoritaRescaleReport(
-        object_index=m,
-        scale=scale,
-        max_residual=max_residual,
-        ok=negligible(max_residual, certificate.scale, certificate.tol),
+        m, scale, max_residual, negligible(max_residual, certificate.scale, certificate.tol)
     )

@@ -57,8 +57,8 @@ def dimension_matrix(char: DimChar, rep: NimRep) -> np.ndarray:
     if char.ring is not rep.ring and char.ring != rep.ring:
         raise StructuralError("ring references of character and module disagree")
     k = rep.module_rank
-    q = (char.d @ _q_layout(rep)).reshape(k, k)
-    q.flags.writeable = False
+    q = char.d.dot(_q_layout(rep)).reshape(k, k)
+    q.setflags(write=False)
     return q
 
 
@@ -91,29 +91,36 @@ def q_property_report(q: np.ndarray, dim_c: float) -> QPropertyReport:
     return QPropertyReport(residual_square, residual_hermitian, eigen_deviation, passed)
 
 
-@dataclass(frozen=True, eq=False)
+_COMPLEX = np.dtype(complex)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ModuleTrace:
     """Trace dimensions of the module simples, ``sum |d|^2 = dim(C)``.
 
     The phase is fixed by making the entry at ``anchor`` (the largest diagonal
-    entry of ``Q``) real and positive.
+    entry of ``Q``) real and positive.  ``d`` is always a read-only complex
+    array: a read-only complex array is kept as given (the solver hands over
+    the column it has just computed), and anything else is copied into one.
     """
 
     d: np.ndarray
     anchor: int
 
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=complex)
-        d.flags.writeable = False
-        object.__setattr__(self, "d", d)
+    def __init__(self, d, anchor: int):
+        if not (type(d) is np.ndarray and d.dtype is _COMPLEX and not d.flags.writeable):
+            d = np.array(d, dtype=complex)
+            d.setflags(write=False)
+        self.__dict__.update({"d": d, "anchor": anchor})
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TraceCertificate:
     """Outcome of the module-trace existence test for one (char, rep) pair.
 
     The fields are what the verdict and the trace vector read; the identities
-    the verdict implies are reported by :attr:`residuals`, computed on first read.
+    the verdict implies are reported by :attr:`residuals`, computed on first read,
+    and :attr:`spherical_by_c` is computed on each read.
     """
 
     matched: bool
@@ -121,12 +128,24 @@ class TraceCertificate:
     trace: ModuleTrace | None
     dim_c: float
     c: complex
-    spherical_by_c: bool
     diagnostics: tuple[str, ...]
     max_minor: float  #: largest 2x2 minor through the pivot at the largest entry of ``|Q|``
     min_entry: float  #: smallest entry of ``|Q|``
     scale: float  #: ``max|Q|``, the scale of every verdict on ``Q``
     tol: float  #: the tolerance of the verdict; not emitted by :meth:`to_dict`
+
+    def __init__(self, matched, Q, trace, dim_c, c, diagnostics, max_minor, min_entry, scale, tol):
+        # one dict update instead of the frozen dataclass's setattr per field
+        self.__dict__.update({
+            "matched": matched, "Q": Q, "trace": trace, "dim_c": dim_c, "c": c,
+            "diagnostics": diagnostics, "max_minor": max_minor, "min_entry": min_entry,
+            "scale": scale, "tol": tol,
+        })
+
+    @property
+    def spherical_by_c(self) -> bool:
+        """``C = dim(C)``, by :func:`~modtrace.common.negligible` at scale ``dim(C)``."""
+        return negligible(abs(self.c - self.dim_c), self.dim_c, self.tol)
 
     @property
     def residuals(self) -> dict:
@@ -183,19 +202,18 @@ def solve_module_trace(
     ``max_ab |Q[r][s] Q[a][b] - Q[a][s] Q[r][b]|``, which vanishes exactly
     when the rank is at most 1 (it is 0 for ``Q = 0``).  For the positive
     semidefinite ``Q`` of valid inputs the pivot is the anchor below.
-    ``spherical_by_c`` compares ``C`` with ``dim(C)`` at scale ``dim(C)``.
 
     When matched, the vector is recovered from the anchor column:
     ``d_M[i] = Q[i][p] / sqrt(Q[p][p])`` at the largest diagonal entry ``p``,
-    giving ``sum |d_M|^2 = trace(Q) = dim(C)`` and ``d_M[p] > 0``.  Nothing
-    else is computed here; the certificate's check residuals wait for their first read.
+    giving ``sum |d_M|^2 = trace(Q) = dim(C)`` and ``d_M[p] > 0``.  The
+    solver makes that freshly computed column read-only and hands it to
+    :class:`ModuleTrace` as is, without a copy.  Nothing else is computed
+    here; the certificate's check residuals and ``spherical_by_c`` wait for their read.
     """
     if rep.ring is not ring and rep.ring != ring:
         raise StructuralError("ring references of character and module disagree")
     m = dimension_matrix(char, rep)
     mag = np.abs(m)
-    dim_c = global_dimension(char)
-    c = c_invariant(char)
     diagnostics: list[str] = []
 
     # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
@@ -204,7 +222,9 @@ def solve_module_trace(
     top = int(mag.argmax())
     r, s = divmod(top, m.shape[1])
     scale = mag.item(top)
-    minors = np.abs(m.item(top) * m - m[:, s, None] * m[r])
+    minors = m.item(top) * m
+    minors -= m[:, s, None] * m[r]
+    minors = np.abs(minors)
     max_minor = minors.item(minors.argmax())
     if not negligible(max_minor, scale * scale, tol):
         diagnostics.append("rank exceeds 1")
@@ -213,26 +233,20 @@ def solve_module_trace(
     if negligible(min_entry, scale, tol):
         diagnostics.append("zero entry in Q")
 
-    diagonal = m.diagonal().real
+    diagonal = m.real.diagonal()
     p = int(diagonal.argmax())
     q_pp = diagonal.item(p)
     if negligible(q_pp, scale, tol):
         diagnostics.append("zero diagonal")
 
-    matched = not diagnostics
-    trace = ModuleTrace(m[:, p] / math.sqrt(q_pp), p) if matched else None
+    trace = None
+    if not diagnostics:
+        d = m[:, p] / math.sqrt(q_pp)
+        d.setflags(write=False)
+        trace = ModuleTrace(d, p)
     return TraceCertificate(
-        matched=matched,
-        Q=m,
-        trace=trace,
-        dim_c=dim_c,
-        c=c,
-        spherical_by_c=negligible(abs(c - dim_c), dim_c, tol),
-        diagnostics=tuple(diagnostics),
-        max_minor=max_minor,
-        min_entry=min_entry,
-        scale=scale,
-        tol=tol,
+        trace is not None, m, trace, global_dimension(char), c_invariant(char),
+        tuple(diagnostics), max_minor, min_entry, scale, tol,
     )
 
 

@@ -123,6 +123,21 @@ def test_morita_rescale_requires_matched():
         mt.morita_rescale_check(ring, sign, rep, 0, cert)
 
 
+def test_reports_refuse_another_modules_certificate():
+    # on Z4 both the regular module and the coset module of {0, 2} are matched for the
+    # trivial character; neither certificate may stand in for the other
+    table = mt.cyclic_table(4)
+    ring = mt.group_ring(table)
+    trivial = mt.group_characters(table)[0]
+    regular, coset = mt.vect_g_module(table, (0,)), mt.vect_g_module(table, (0, 2))
+    for rep, other, m in ((coset, regular, 1), (regular, coset, 3)):
+        cert = mt.solve_module_trace(ring, trivial, other)
+        assert cert.matched
+        for report in (mt.frobenius_report, mt.morita_rescale_check):
+            with pytest.raises(mt.StructuralError, match="certificate"):
+                report(ring, trivial, rep, m, cert)
+
+
 def test_reports_decide_at_the_certificate_tolerance():
     ring = mt.builtin("fibonacci")[0]
     char = mt.DimChar(ring, [1.0, PHI])

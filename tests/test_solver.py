@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,69 @@ def test_dimension_matrix_matches_einsum_oracle(monkeypatch):
             a, b = cert.trace.anchor, ref.trace.anchor
             assert abs(ref.Q[a, a] - ref.Q[b, b]) <= bound[a, a] + bound[b, b], label
     assert {cert.matched for cert in certs} == {True, False}
+
+
+def test_op_records_equal_their_definitions_bit_for_bit():
+    # every number of a catalog_sweep op, recomputed from Q with plain numpy in the
+    # operand order of its definition; == on each, no tolerance
+    objects = 0
+    for label, ring, char, rep, _ in _oracle_inputs():
+        cert = mt.solve_module_trace(ring, char, rep)
+        q = cert.Q
+        mag = np.abs(q)
+        r, s = np.unravel_index(mag.argmax(), q.shape)
+        minors = np.abs(q[r, s] * q - q[:, s, None] * q[r])
+        assert (cert.scale, cert.min_entry, cert.max_minor) == (mag.max(), mag.min(), minors.max()), label
+        if not cert.matched:
+            continue
+        p = int(q.diagonal().real.argmax())
+        d = q[:, p] / np.sqrt(q[p, p].real)
+        assert cert.trace.anchor == p and cert.trace.d.tobytes() == d.tobytes(), label
+        if not mt.is_indecomposable(rep):
+            continue
+        for m in range(rep.module_rank):
+            frob = mt.frobenius_report(ring, char, rep, m, cert)
+            dim_a = 0.0 if abs(q[m, m]) <= cert.tol * max(1.0, cert.scale) else q[m, m].real
+            assert (frob.dim_a, frob.haploid) == (dim_a, rep.M[ring.unit, m, m] == 1), label
+            morita = mt.morita_rescale_check(ring, char, rep, m, cert)
+            assert morita.scale == q[m, m] / d[m], label
+            assert morita.max_residual == np.abs(q[:, m] - np.conj(d[m]) * d).max(), label
+            objects += 1
+    assert objects > 10000
+
+
+def test_records_stay_frozen():
+    ring, golden, _, reg = fib_setup()
+    cert = mt.solve_module_trace(ring, golden, reg)
+    records = [
+        cert,
+        cert.trace,
+        mt.frobenius_report(ring, golden, reg, 1, cert),
+        mt.morita_rescale_check(ring, golden, reg, 1, cert),
+    ]
+    for record in records:
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, getattr(record, field.name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.spherical_by_c = False
+    with pytest.raises(ValueError):
+        cert.trace.d[0] = 0
+
+    copy = dataclasses.replace(cert, tol=1e-3)
+    assert type(copy) is mt.TraceCertificate and copy.tol == 1e-3
+    assert copy.Q is cert.Q and copy.trace is cert.trace and copy.matched is True
+    assert list(cert.to_dict()) == [
+        "matched", "dimC", "C", "spherical_by_C", "d", "anchor", "residuals", "diagnostics"
+    ]
+
+    # anything but a read-only complex array comes out as a read-only complex copy
+    writable = np.array([1, 1j])
+    for given in ([1, 1j], writable, np.array([1, 2])):
+        d = mt.ModuleTrace(given, 0).d
+        assert d.dtype == complex and not d.flags.writeable
+        assert not np.shares_memory(d, np.asarray(given))
+    assert writable.flags.writeable
 
 
 @pytest.mark.parametrize("position", ["hermitian", "square", "eigen"])
