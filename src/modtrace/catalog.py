@@ -11,45 +11,24 @@ from .common import UsageError
 from .fusion import FusionRing
 from .groups import GroupTable, cyclic_table, direct_product, group_characters, group_ring
 
-#: Names accepted by :func:`builtin` (``zn:<n>`` works for any n >= 1).
-BUILTIN_RINGS = ("fibonacci", "ising", "rep_s3", "zn:<n>")
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+_ROOT2 = math.sqrt(2.0)
 
-#: Names accepted by :func:`builtin_group` (``Z:<n>`` works for any n >= 1).
-BUILTIN_GROUPS = ("Z:<n>", "S3", "Z2xZ2")
-
-GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-def fibonacci_ring() -> FusionRing:
-    """Two simples 1, tau with tau * tau = 1 + tau."""
-    N = np.zeros((2, 2, 2), dtype=np.int64)
-    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = 1
-    N[1, 1, 0] = N[1, 1, 1] = 1
-    return FusionRing(2, ("1", "tau"), 0, [0, 1], N)
-
-
-def ising_ring() -> FusionRing:
-    """Three simples 1, eps, sigma with sigma * sigma = 1 + eps."""
-    N = np.zeros((3, 3, 3), dtype=np.int64)
-    for b in range(3):
-        N[0, b, b] = 1
-        N[b, 0, b] = 1
-    N[1, 1, 0] = 1
-    N[1, 2, 2] = N[2, 1, 2] = 1
-    N[2, 2, 0] = N[2, 2, 1] = 1
-    return FusionRing(3, ("1", "eps", "sigma"), 0, [0, 1, 2], N)
-
-
-def rep_s3_ring() -> FusionRing:
-    """Three simples 1, sgn, V with V * V = 1 + sgn + V."""
-    N = np.zeros((3, 3, 3), dtype=np.int64)
-    for b in range(3):
-        N[0, b, b] = 1
-        N[b, 0, b] = 1
-    N[1, 1, 0] = 1
-    N[1, 2, 2] = N[2, 1, 2] = 1
-    N[2, 2, 0] = N[2, 2, 1] = N[2, 2, 2] = 1
-    return FusionRing(3, ("1", "sgn", "V"), 0, [0, 1, 2], N)
+# Self-dual rings with unit 0: name -> (labels, {(a, b): simples in a * b = b * a
+# for non-unit a <= b, each once}, closed-form characters).
+_NAMED_RINGS = {
+    "fibonacci": (("1", "tau"), {(1, 1): [0, 1]}, [[1.0, _GOLDEN], [1.0, 1.0 - _GOLDEN]]),
+    "ising": (
+        ("1", "eps", "sigma"),
+        {(1, 1): [0], (1, 2): [2], (2, 2): [0, 1]},
+        [[1.0, 1.0, _ROOT2], [1.0, 1.0, -_ROOT2]],
+    ),
+    "rep_s3": (
+        ("1", "sgn", "V"),
+        {(1, 1): [0], (1, 2): [2], (2, 2): [0, 1, 2]},
+        [[1.0, 1.0, 2.0], [1.0, 1.0, -1.0]],
+    ),
+}
 
 
 def s3_table() -> GroupTable:
@@ -65,26 +44,37 @@ def s3_table() -> GroupTable:
     return GroupTable(6, mul, labels)
 
 
+_NAMED_GROUPS = {"S3": s3_table, "Z2xZ2": lambda: direct_product(cyclic_table(2), cyclic_table(2))}
+
+#: Names accepted by :func:`builtin` (``zn:<n>`` works for any n >= 1).
+BUILTIN_RINGS = (*_NAMED_RINGS, "zn:<n>")
+
+#: Names accepted by :func:`builtin_group` (``Z:<n>`` works for any n >= 1).
+BUILTIN_GROUPS = ("Z:<n>", *_NAMED_GROUPS)
+
+
+def _cyclic_order(name: str, what: str) -> int:
+    """The ``<n>`` of ``zn:<n>`` or ``Z:<n>``; ``what`` names it in the error."""
+    try:
+        return int(name.partition(":")[2])
+    except ValueError:
+        raise UsageError(f"bad {what} in {name!r}") from None
+
+
 def is_builtin_group(name: str) -> bool:
     """True when ``name`` is meant for :func:`builtin_group` rather than a file.
 
     A malformed ``Z:`` name counts, so that its bad order is reported.
     """
-    return name.startswith("Z:") or name in BUILTIN_GROUPS
+    return name.startswith("Z:") or name in _NAMED_GROUPS
 
 
 def builtin_group(name: str) -> GroupTable:
     """Look up a builtin group: ``Z:<n>``, ``S3`` or ``Z2xZ2``."""
     if name.startswith("Z:"):
-        try:
-            n = int(name[2:])
-        except ValueError:
-            raise UsageError(f"bad cyclic group order in {name!r}") from None
-        return cyclic_table(n)
-    if name == "S3":
-        return s3_table()
-    if name == "Z2xZ2":
-        return direct_product(cyclic_table(2), cyclic_table(2))
+        return cyclic_table(_cyclic_order(name, "cyclic group order"))
+    if name in _NAMED_GROUPS:
+        return _NAMED_GROUPS[name]()
     raise UsageError(f"unknown builtin group {name!r} (available: {', '.join(BUILTIN_GROUPS)})")
 
 
@@ -95,21 +85,18 @@ def builtin(name: str) -> tuple[FusionRing, list[DimChar]]:
     content and order; candidates with a zero entry (such as the hook
     character of the ``rep_s3`` ring) are excluded.
     """
-    if name == "fibonacci":
-        ring = fibonacci_ring()
-        return ring, _characters(ring, [[1.0, GOLDEN], [1.0, 1.0 - GOLDEN]])
-    if name == "ising":
-        ring = ising_ring()
-        root2 = math.sqrt(2.0)
-        return ring, _characters(ring, [[1.0, 1.0, root2], [1.0, 1.0, -root2]])
-    if name == "rep_s3":
-        ring = rep_s3_ring()
-        return ring, _characters(ring, [[1.0, 1.0, 2.0], [1.0, 1.0, -1.0]])
+    if name in _NAMED_RINGS:
+        labels, products, rows = _NAMED_RINGS[name]
+        n = len(labels)
+        simples = np.arange(n)
+        N = np.zeros((n, n, n), dtype=np.int64)
+        N[0, simples, simples] = N[simples, 0, simples] = 1  # 1 * b = b * 1 = b
+        for (a, b), c in products.items():
+            N[a, b, c] = N[b, a, c] = 1
+        ring = FusionRing(n, labels, 0, simples, N)
+        return ring, _characters(ring, rows)
     if name.startswith("zn:"):
-        try:
-            n = int(name[3:])
-        except ValueError:
-            raise UsageError(f"bad cyclic order in {name!r}") from None
+        n = _cyclic_order(name, "cyclic order")
         if n < 1:
             raise UsageError("cyclic order must be positive")
         table = cyclic_table(n)

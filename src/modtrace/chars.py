@@ -56,15 +56,6 @@ class DimChar:
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DimChar):
-            return NotImplemented
-        return self.ring == other.ring and np.array_equal(self.d, other.d)
-
-    def __repr__(self) -> str:
-        vals = ", ".join(f"{z:.6g}" for z in self.d)
-        return f"DimChar([{vals}])"
-
 
 def _axiom_checks(ring: FusionRing, rows: np.ndarray, tol: float):
     """Yield ``(axiom, mask, lhs, rhs, prefix)`` on the rows of an ``(m, n)`` array, row first.

@@ -75,17 +75,14 @@ def _require(data: dict, keys: list[str], what: str) -> None:
 
 # -- rings --------------------------------------------------------------
 
-def ring_from_dict(data: dict) -> FusionRing:
-    _require(data, ["rank", "labels", "unit", "dual", "N"], "ring")
-    return FusionRing(data["rank"], data["labels"], data["unit"], data["dual"], data["N"])
-
-
 def save_ring(ring: FusionRing, path) -> None:
     save_json(ring.to_dict(), path)
 
 
 def load_ring(path) -> FusionRing:
-    return ring_from_dict(_load_dict(path))
+    data = _load_dict(path)
+    _require(data, ["rank", "labels", "unit", "dual", "N"], "ring")
+    return FusionRing(data["rank"], data["labels"], data["unit"], data["dual"], data["N"])
 
 
 def _check_ring_field(value, ring: FusionRing, what: str) -> None:
@@ -98,72 +95,56 @@ def _check_ring_field(value, ring: FusionRing, what: str) -> None:
 
 # -- characters ---------------------------------------------------------
 
-def char_to_dict(char: DimChar) -> dict:
-    return {
+def save_char(char: DimChar, path) -> None:
+    data = {
         "ring": char.ring.content_hash(),
         "d": [complex_pair(z) for z in char.d],
     }
+    save_json(data, path)
 
 
-def char_from_dict(data: dict, ring: FusionRing) -> DimChar:
+def load_char(path, ring: FusionRing) -> DimChar:
     from .chars import DimChar
 
+    data = _load_dict(path)
     _require(data, ["ring", "d"], "character")
     _check_ring_field(data["ring"], ring, "character")
-    pairs = data["d"]
     try:
-        values = np.array([complex(re, im) for re, im in pairs])
+        values = np.array([complex(re, im) for re, im in data["d"]])
     except (TypeError, ValueError) as exc:
         raise StructuralError(f"bad character entries: {exc}") from None
     return DimChar(ring, values)
 
 
-def save_char(char: DimChar, path) -> None:
-    save_json(char_to_dict(char), path)
-
-
-def load_char(path, ring: FusionRing) -> DimChar:
-    return char_from_dict(_load_dict(path), ring)
-
-
 # -- modules ------------------------------------------------------------
 
-def module_to_dict(rep: NimRep) -> dict:
-    return {
+def save_module(rep: NimRep, path) -> None:
+    data = {
         "ring": rep.ring.content_hash(),
         "module_rank": rep.module_rank,
         "M": rep.M.tolist(),
     }
+    save_json(data, path)
 
 
-def module_from_dict(data: dict, ring: FusionRing) -> NimRep:
+def load_module(path, ring: FusionRing) -> NimRep:
     from .nimrep import NimRep
 
+    data = _load_dict(path)
     _require(data, ["ring", "module_rank", "M"], "module")
     _check_ring_field(data["ring"], ring, "module")
     return NimRep(ring, data["module_rank"], data["M"])
 
 
-def save_module(rep: NimRep, path) -> None:
-    save_json(module_to_dict(rep), path)
-
-
-def load_module(path, ring: FusionRing) -> NimRep:
-    return module_from_dict(_load_dict(path), ring)
-
-
 # -- groups -------------------------------------------------------------
 
-def group_from_dict(data: dict) -> GroupTable:
-    from .groups import GroupTable
-
-    _require(data, ["order", "mul"], "group")
-    return GroupTable(data["order"], data["mul"])
-
-
 def save_group(table: GroupTable, path) -> None:
-    save_json(table.to_dict(), path)
+    save_json({"order": table.order, "mul": table.mul.tolist()}, path)
 
 
 def load_group(path) -> GroupTable:
-    return group_from_dict(_load_dict(path))
+    from .groups import GroupTable
+
+    data = _load_dict(path)
+    _require(data, ["order", "mul"], "group")
+    return GroupTable(data["order"], data["mul"])

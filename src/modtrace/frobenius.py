@@ -37,7 +37,7 @@ def inner_hom_multiplicities(rep: NimRep, i: int, j: int) -> np.ndarray:
     k = rep.module_rank
     if not (0 <= i < k and 0 <= j < k):
         raise StructuralError(f"object indices ({i}, {j}) out of range for rank {k}")
-    return rep.M[:, i, j].copy()
+    return rep.M[:, i, j]  # a view: rep.M is read-only
 
 
 def _module_q(rep: NimRep, certificate: TraceCertificate) -> np.ndarray:

@@ -90,9 +90,6 @@ class GroupTable:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 
-    def to_dict(self) -> dict:
-        return {"order": self.order, "mul": self.mul.tolist()}
-
     def __eq__(self, other):
         if not isinstance(other, GroupTable):
             return NotImplemented

@@ -7,12 +7,14 @@ import math
 import numpy as np
 
 import modtrace as mt
+from modtrace import catalog
 from modtrace.chars import snap_components
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 ROOT2 = math.sqrt(2.0)
 
-NAMED_RINGS = ("fibonacci", "ising", "rep_s3")
+# the catalogue's named rings; a parametrised family such as ``zn:<n>`` is listed with its ``<n>``
+NAMED_RINGS = tuple(name for name in catalog.BUILTIN_RINGS if "<n>" not in name)
 
 
 def ring_families(max_zn: int = 10):

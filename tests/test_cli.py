@@ -156,6 +156,42 @@ def test_frobenius_verb(fib_dir):
     assert frob["morita"]["ok"] is True
 
 
+def test_flexible_text(z2_dir):
+    mods = [str(z2_dir / "module-H00.json"), str(z2_dir / "module-H01.json")]
+    code, out, _ = invoke("flexible", str(z2_dir / "ring.json"), "--char", "1", "--modules", *mods)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("flexible: false  (")
+    assert f"  {mods[0]}: matched" in lines
+    assert f"  {mods[1]}: unmatched" in lines
+
+
+def test_frobenius_text_morita_lines(fib_dir):
+    code, out, _ = invoke(
+        "frobenius",
+        str(fib_dir / "ring.json"),
+        "--char", "0",
+        "--module", str(fib_dir / "module-regular.json"),
+        "--object", "1",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "morita scale: 1.61803398875" in lines
+    assert any(line.startswith("morita residual: ") and line.endswith(" ok: true") for line in lines)
+
+
+def test_frobenius_assert_matched_failure(z2_dir):
+    code, _, _ = invoke(
+        "frobenius",
+        str(z2_dir / "ring.json"),
+        "--char", "1",
+        "--module", str(z2_dir / "module-H01.json"),
+        "--object", "0",
+        "--assert-matched",
+    )
+    assert code == 1
+
+
 def test_frobenius_unmatched_diagonal_zero_prints_zero(tmp_path):
     d = tmp_path / "z12"
     assert invoke("vectg", "--group", "Z:12", "--emit", str(d))[0] == 0
@@ -181,6 +217,14 @@ def test_vectg_subgroups_listing():
     assert code == 0
     payload = json.loads(out)
     assert payload["subgroups"] == [[0], [0, 2], [0, 1, 2, 3]]
+
+
+def test_vectg_subgroups_text_listing():
+    code, out, _ = invoke("vectg", "--group", "Z:4", "--subgroups")
+    assert code == 0
+    lines = out.splitlines()
+    for line in ("  H00 (order 1): {e}", "  H01 (order 2): {e, g2}", "  H02 (order 4): {e, g, g2, g3}"):
+        assert line in lines
 
 
 def test_vectg_computes_characters_only_when_asked(monkeypatch):

@@ -24,6 +24,15 @@ def test_inner_hom_multiplicities_group_algebra():
     assert np.array_equal(mt.inner_hom_multiplicities(rep, 0, 0), [1, 1])
 
 
+def test_inner_hom_multiplicities_is_a_read_only_view():
+    rep = mt.regular_module(mt.builtin("fibonacci")[0])
+    mults = mt.inner_hom_multiplicities(rep, 1, 0)
+    assert np.array_equal(mults, rep.M[:, 1, 0])
+    assert np.shares_memory(mults, rep.M)
+    with pytest.raises(ValueError):
+        mults[0] = 5
+
+
 def test_inner_hom_pairs_with_characters():
     ring = mt.builtin("ising")[0]
     char = mt.DimChar(ring, [1, 1, np.sqrt(2)])

@@ -148,6 +148,27 @@ def test_ring_equality_and_hash():
     assert r1.content_hash() == r2.content_hash()
     assert r1 != r3
     assert r1.content_hash() != r3.content_hash()
+    # built separately, equal rings hash equal, so a ring works as a dict key or set member
+    assert r1 is not r2 and hash(r1) == hash(r2)
+    assert len({r1, r2, r3}) == 2
+
+
+# Every emitted character and module file stores its ring's hash.
+PINNED_HASHES = {
+    "fibonacci": "25d758f7c00c",
+    "ising": "504b5771be20",
+    "rep_s3": "c4e2967fbfd5",
+    "zn:1": "e909a3c805ad",
+    "zn:12": "a98161a5915c",
+    "zn:32": "de13b9fd2fb0",
+}
+PINNED_GROUP_HASHES = {"S3": "d882465cfcc8", "Z2xZ2": "81bf5668f49a"}
+
+
+def test_builtin_content_hashes_are_pinned():
+    assert {name: mt.builtin(name)[0].content_hash() for name in PINNED_HASHES} == PINNED_HASHES
+    rings = {name: mt.group_ring(mt.builtin_group(name)) for name in PINNED_GROUP_HASHES}
+    assert {name: ring.content_hash() for name, ring in rings.items()} == PINNED_GROUP_HASHES
 
 
 def test_content_hash_is_computed_once_and_unchanged():
