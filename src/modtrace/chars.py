@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .common import (
     close,
     collect_violations,
 )
-from .fusion import FusionRing, fp_dimensions, fusion_matrices
+from .fusion import FusionRing, fp_dimensions, fusion_matrices, pointed_table
 
 #: Seeds tried for the weighted eigenproblem before giving up.
 ENUMERATION_RETRIES = 8
@@ -57,24 +56,28 @@ class DimChar:
         object.__setattr__(self, "d", d)
 
 
-def _axiom_checks(ring: FusionRing, rows: np.ndarray, tol: float):
-    """Yield ``(axiom, mask, lhs, rhs, prefix)`` on the rows of an ``(m, n)`` array, row first.
+def _axiom_checks(ring: FusionRing, rows: np.ndarray, tol: float, per_block: int):
+    """Yield ``(axiom, mask, lhs, rhs)`` on the rows of an ``(m, n)`` array, row first.
 
-    In reporting order: unit, multiplicativity one first index ``a`` at a time
-    (O(mn) memory, not O(mn^2)), nonzero, duality; the tolerance is floored at
-    :data:`DEFAULT_TOL`.  A true ``mask`` entry fails at index ``prefix + position``.
+    In reporting order: unit, multiplicativity ``per_block`` first indices ``a``
+    at a time (indexed ``[row, a - first, b]``), nonzero, duality; the
+    tolerance is floored at :data:`DEFAULT_TOL`.  A true ``mask`` entry fails
+    at its position after the row, which with ``per_block = n`` is the
+    violation's index.
     """
     tol = max(tol, DEFAULT_TOL)
     m, n = rows.shape
     unit = np.zeros((m, n), dtype=bool)
     unit[:, ring.unit] = ~close(rows[:, ring.unit], 1.0, tol)
-    yield "unit", unit, rows, np.broadcast_to(1.0, (m, n)), ()
-    for a in range(n):
-        outer, prod = rows[:, a, None] * rows, rows @ ring.N[a].T  # [row, b]
-        yield "multiplicativity", ~close(outer, prod, tol), outer, prod, (a,)
-    yield "nonzero", close(rows, 0.0, tol), rows, np.broadcast_to("nonzero", (m, n)), ()
+    yield "unit", unit, rows, np.broadcast_to(1.0, (m, n))
+    for first in range(0, n, per_block):
+        outer = rows[:, first : first + per_block, None] * rows[:, None, :]  # [row, a, b]
+        # one (m, n) @ (n, n) product per a, as the one-row check of each a computes it
+        prod = (rows @ ring.N[first : first + per_block].transpose(0, 2, 1)).transpose(1, 0, 2)
+        yield "multiplicativity", ~close(outer, prod, tol), outer, prod
+    yield "nonzero", close(rows, 0.0, tol), rows, np.broadcast_to("nonzero", (m, n))
     dual, conj = rows[:, ring.dual], rows.conj()
-    yield "duality", ~close(dual, conj, tol), dual, conj, ()
+    yield "duality", ~close(dual, conj, tol), dual, conj
 
 
 def validate_dim_char(char: DimChar, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -84,14 +87,25 @@ def validate_dim_char(char: DimChar, tol: float = DEFAULT_TOL) -> ValidationRepo
     rounded, so an exact check would reject every irrational character.
     """
     viols: list[Violation] = []
-    for axiom, mask, lhs, rhs, prefix in _axiom_checks(char.ring, char.d[None], tol):
-        collect_violations(mask[0], axiom, lhs[0], rhs[0], viols, prefix)
+    for axiom, mask, lhs, rhs in _axiom_checks(char.ring, char.d[None], tol, char.ring.rank):
+        collect_violations(mask[0], axiom, lhs[0], rhs[0], viols)
     return ValidationReport(tuple(viols))
 
 
+#: Bytes of one complex ``(m, block, n)`` array of the multiplicativity check in :func:`_passing`.
+_CHECK_BYTES = 1 << 16
+
+
 def _passing(ring: FusionRing, rows: np.ndarray, tol: float) -> np.ndarray:
-    """Which rows pass :func:`validate_dim_char`: the :func:`_axiom_checks` masks ORed per row."""
-    return ~np.any([mask.any(axis=1) for _, mask, *_ in _axiom_checks(ring, rows, tol)], axis=0)
+    """Which rows pass :func:`validate_dim_char`: the :func:`_axiom_checks` masks ORed per row.
+
+    Multiplicativity is checked for as many first indices at once as
+    :data:`_CHECK_BYTES` allows.
+    """
+    m, n = rows.shape
+    per_block = max(1, _CHECK_BYTES // (16 * m * n))
+    checks = _axiom_checks(ring, rows, tol, per_block)
+    return ~np.any([mask.reshape(m, -1).any(axis=1) for _, mask, *_ in checks], axis=0)
 
 
 def snap_components(values: np.ndarray) -> np.ndarray:
@@ -108,27 +122,111 @@ def snap_components(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sort_keys(rows: np.ndarray) -> list[tuple]:
+def _sort_keys(rows: np.ndarray) -> np.ndarray:
     """Per row of a 2-d complex array, the re and im of each entry in turn, rounded to 9 decimals.
 
-    Flat tuples made from lists: short-lived pair tuples would stay on the free lists.
+    Equal entry for entry to Python's ``round(x, 9)``.  ``np.round(x, 9)`` is
+    ``rint(x * 1e9) / 1e9``, which differs from it only when the rounding of
+    the product moves it across a half; so the entries whose scaled value
+    lies within a few ulps of a half (or is not finite) are redone with ``round``.
     """
-    parts = np.ascontiguousarray(rows).view(float)
-    return [tuple([round(x, 9) for x in row]) for row in parts.tolist()]
+    parts = np.ascontiguousarray(rows, dtype=complex).view(float)
+    scaled = parts * 1e9
+    keys = np.rint(scaled) / 1e9
+    clear = np.abs(scaled - np.floor(scaled) - 0.5) > 4 * np.spacing(np.abs(scaled))
+    for idx in zip(*np.nonzero(~clear)):
+        keys[idx] = round(parts[idx].item(), 9)
+    return keys
 
 
-def _characters(ring: FusionRing, rows, keys: list[tuple] | None = None) -> list[DimChar]:
-    """The rows of a 2-d array as characters, in descending order of their :func:`_sort_keys`
-    (passed in when already made), which puts the Frobenius-Perron character first.
+def _descending(keys: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The order of the rows of a key array, descending and stable like
+    ``sorted(..., reverse=True)`` on their tuples, and whether two rows are equal."""
+    order = np.lexsort(-keys.T[::-1])
+    ranked = keys[order]
+    return order, bool((ranked[1:] == ranked[:-1]).all(axis=1).any())
+
+
+def _characters(ring: FusionRing, rows) -> list[DimChar]:
+    """The rows of a 2-d array as characters, in descending order of their :func:`_sort_keys`,
+    which puts the Frobenius-Perron character first.
     """
     rows = np.asarray(rows, dtype=complex)
-    keys = _sort_keys(rows) if keys is None else keys
-    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    order, _ = _descending(_sort_keys(rows))
     return [DimChar(ring, rows[i]) for i in order]
+
+
+def _linear_characters(mul: np.ndarray, identity: int) -> np.ndarray:
+    """All linear characters of the abelian group with table ``mul``, one row each, unsorted.
+
+    Built by extending characters along a chain of subgroups: adjoining an
+    element ``x`` with ``x^r`` already covered multiplies the character count
+    by ``r``, the new values being the ``r``-th roots of the known value.
+    The integer exponents ``e`` (a value is ``exp(2 pi i e / g)``) of every
+    character on every covered element form one array, extended by one
+    array update per adjoined element.  All values are then read from one
+    table of the ``g`` roots of unity, each computed as a scalar, so no
+    eigensolver is involved and the only rounding is in that table; the
+    cost is O(g^2) plus O(g) scalar exponentials.
+    """
+    g = len(mul)
+    covered = np.array([identity])
+    position = np.full(g, -1)
+    position[identity] = 0
+    exps = np.zeros((1, 1), dtype=np.int64)  # exps[i, p]: exponent of character i at covered[p]
+
+    for x in range(g):
+        if position[x] >= 0:
+            continue
+        # order of x relative to the covered subgroup, and its powers below it
+        powers = [identity]
+        power = x
+        while position[power] < 0:
+            powers.append(power)
+            power = mul[power, x]
+        r, anchor = len(powers), position[power]  # x^r sits at covered[anchor]
+
+        # covered elements a * x^t, t-major: t = 0 keeps the old positions
+        covered = mul[covered[None, :], np.array(powers)[:, None]].ravel()
+        position[covered] = np.arange(covered.size)
+        c = exps[:, anchor]
+        assert (c % r == 0).all()  # kappa(x^r) is an r-th power in the exponent lattice
+        step = (c[:, None] // r + np.arange(r) * (g // r)) % g  # [i, j]: exponent at x
+        t = np.arange(r)[:, None]
+        # [i, j, t, p]: character (i, j) at covered[p] * x^t
+        exps = (exps[:, None, None, :] + t * step[:, :, None, None]) % g
+        exps = exps.reshape(-1, covered.size)
+
+    roots = np.array([np.exp(2j * np.pi * e / g) for e in range(g)])
+    values = np.empty(exps.shape, dtype=complex)
+    values[:, covered] = roots[exps]
+    return snap_components(values)
 
 
 def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[DimChar]:
     """All pivotal candidates of a commutative fusion ring.
+
+    A ring with a :func:`~modtrace.fusion.pointed_table` is the group ring of
+    an abelian group, whose characters are its linear characters: they are
+    read off the group's exponent chain as exact roots of unity, in O(n^2).
+    Any other ring takes the numeric route of :func:`_eigh_characters`.  On
+    both routes, candidates failing :func:`validate_dim_char` are dropped and
+    the rest sorted by :func:`_characters`.
+    """
+    if not ring.is_commutative():
+        raise UnsupportedError("character enumeration requires a commutative ring")
+    mul = pointed_table(ring)
+    if mul is None:
+        return _eigh_characters(ring, tol)
+    values, tol = _linear_characters(mul, ring.unit), max(tol, DEFAULT_TOL)
+    # exact roots of unity are multiplicative and dual up to rounding, so of the checks of
+    # validate_dim_char only "unit" (at a NaN tol) and "nonzero" (from tol = 1 on) can fail
+    keep = close(values[:, ring.unit], 1.0, tol) & ~close(values, 0.0, tol).any(axis=1)
+    return _characters(ring, values[keep])
+
+
+def _eigh_characters(ring: FusionRing, tol: float) -> list[DimChar]:
+    """The pivotal candidates of a commutative ring, read off one Hermitian eigendecomposition.
 
     The fusion matrices ``N_a`` commute and are normal (``N_{a*} = N_a.T``),
     so they share one orthonormal eigenbasis, and the ring characters are
@@ -143,13 +241,9 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
     character is then the Rayleigh quotient ``chi_m(a) = v_m^dagger N_a v_m``;
     because ``N_a`` is normal its error is quadratic in the eigenvector's
     error, so no refinement step follows.  All quotients come from one
-    ``(n^2, n) @ (n, n)`` product and one contraction, O(n^4) in total.
-
-    Candidates failing :func:`validate_dim_char` (zero entries, duality), checked all at
-    once by :func:`_passing`, are dropped; :func:`_characters` sorts the rest.
+    ``(n^2, n) @ (n, n)`` product and one contraction, O(n^4) in total, and
+    all candidates are checked at once by :func:`_passing`.
     """
-    if not ring.is_commutative():
-        raise UnsupportedError("character enumeration requires a commutative ring")
     n = ring.rank
     # stack[a] = N_a, complex once so the products below cast nothing
     stack = fusion_matrices(ring).astype(complex, order="C")
@@ -164,12 +258,12 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
 
         moved = (stack.reshape(n * n, n) @ vecs).reshape(n, n, n)  # [a, c, m] = (N_a v_m)[c]
         chars = snap_components(np.einsum("cm,acm->ma", vecs.conj(), moved))
-        keys = _sort_keys(chars)
-        if len(set(keys)) != n:
+        order, repeated = _descending(_sort_keys(chars))
+        if repeated:
             continue  # two eigenvectors gave the same character
 
         keep = _passing(ring, chars, tol)
-        return _characters(ring, chars[keep], list(compress(keys, keep)))
+        return [DimChar(ring, chars[i]) for i in order[keep[order]]]
 
     raise NumericError(
         f"degenerate eigenproblem after {ENUMERATION_RETRIES} reseeding attempts"

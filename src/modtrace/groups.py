@@ -25,7 +25,7 @@ from .common import (
     StructuralError,
     UnsupportedError,
 )
-from .chars import DimChar, _characters, snap_components
+from .chars import DimChar, _characters, _linear_characters
 from .fusion import FusionRing, _int_array
 from .nimrep import NimRep
 
@@ -144,52 +144,12 @@ def group_ring(table: GroupTable) -> FusionRing:
 def group_characters(table: GroupTable) -> list[DimChar]:
     """All linear characters of an abelian group, as exact roots of unity.
 
-    Built by extending characters along a chain of subgroups: adjoining an
-    element ``x`` with ``x^r`` already covered multiplies the character count
-    by ``r``, the new values being the ``r``-th roots of the known value.
-    The integer exponents ``e`` (a value is ``exp(2 pi i e / g)``) of every
-    character on every covered element form one array, extended by one
-    array update per adjoined element.  All values are then read from one
-    table of the ``g`` roots of unity, each computed as a scalar, so no
-    eigensolver is involved and the only rounding is in that table; the
-    cost is O(g^2) plus O(g) scalar exponentials.
+    Read off the group's exponent chain by :func:`~modtrace.chars._linear_characters`,
+    which :func:`~modtrace.chars.enumerate_characters` uses on every pointed ring.
     """
     if not table.is_abelian():
         raise UnsupportedError("character construction requires an abelian group")
-    g, mul = table.order, table.mul
-    ring = group_ring(table)
-
-    covered = np.array([table.identity])
-    position = np.full(g, -1)
-    position[table.identity] = 0
-    exps = np.zeros((1, 1), dtype=np.int64)  # exps[i, p]: exponent of character i at covered[p]
-
-    for x in range(g):
-        if position[x] >= 0:
-            continue
-        # order of x relative to the covered subgroup, and its powers below it
-        powers = [table.identity]
-        power = x
-        while position[power] < 0:
-            powers.append(power)
-            power = mul[power, x]
-        r, anchor = len(powers), position[power]  # x^r sits at covered[anchor]
-
-        # covered elements a * x^t, t-major: t = 0 keeps the old positions
-        covered = mul[covered[None, :], np.array(powers)[:, None]].ravel()
-        position[covered] = np.arange(covered.size)
-        c = exps[:, anchor]
-        assert (c % r == 0).all()  # kappa(x^r) is an r-th power in the exponent lattice
-        step = (c[:, None] // r + np.arange(r) * (g // r)) % g  # [i, j]: exponent at x
-        t = np.arange(r)[:, None]
-        # [i, j, t, p]: character (i, j) at covered[p] * x^t
-        exps = (exps[:, None, None, :] + t * step[:, :, None, None]) % g
-        exps = exps.reshape(-1, covered.size)
-
-    roots = np.array([np.exp(2j * np.pi * e / g) for e in range(g)])
-    values = np.empty(exps.shape, dtype=complex)
-    values[:, covered] = roots[exps]
-    return _characters(ring, snap_components(values))
+    return _characters(group_ring(table), _linear_characters(table.mul, table.identity))
 
 
 #: Bytes of the boolean work array one closure step of :func:`subgroups` may use.

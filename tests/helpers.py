@@ -290,7 +290,7 @@ def coset_matrices_reference(table, H) -> np.ndarray:
 
 def sort_key_reference(d) -> tuple:
     """The ordering key as ``(re, im)`` pairs rounded to 9 decimals, entry by
-    entry; orders and compares exactly like the flat ``chars._sort_keys``."""
+    entry; orders and compares exactly like the rows of ``chars._sort_keys``."""
     return tuple((round(z.real, 9), round(z.imag, 9)) for z in np.asarray(d, dtype=complex).tolist())
 
 

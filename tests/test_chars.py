@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modtrace as mt
 from helpers import (
@@ -11,13 +13,20 @@ from helpers import (
     ROOT2,
     abelian_tables_up_to,
     enumerate_characters_reference,
-    sort_key_reference,
     su2_characters,
     su2_ring,
 )
 from modtrace import files
-from modtrace.chars import ENUMERATION_RETRIES, _passing, _sort_keys
+from modtrace.chars import (
+    ENUMERATION_RETRIES,
+    _descending,
+    _eigh_characters,
+    _linear_characters,
+    _passing,
+    _sort_keys,
+)
 from modtrace.common import close
+from modtrace.fusion import pointed_table
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
@@ -202,14 +211,35 @@ def test_builtin_chars_match_enumeration(name):
         assert np.max(np.abs(lhs.d - rhs.d)) < 1e-9
 
 
-def test_char_sort_key_is_flat_and_orders_like_pairs():
-    assert _sort_keys(np.array([[1.0, 1j, -0.5 + 2e-10j]])) == [(1.0, 0.0, 0.0, 1.0, -0.5, 0.0)]
-    rng = np.random.default_rng(3)
-    rows = np.round(rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3)), 1)
-    keys = _sort_keys(rows)
-    flat = sorted(range(40), key=keys.__getitem__)
-    pairs = sorted(range(40), key=lambda i: sort_key_reference(rows[i]))
-    assert flat == pairs
+# entries of the sort keys' hard cases: any magnitude up to 1e6, values within
+# rounding of a half at the ninth decimal, exact halves there, tiny negatives and -0.0
+_KEY_PARTS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.integers(-(10**15), 10**15).map(lambda k: (k + 0.5) / 1e9),
+    st.integers(-(2**19), 2**19).map(lambda j: (2 * j + 1) / 2**10),
+    st.floats(-1e-9, 0.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5e-9]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sort_keys_round_order_and_repeat_like_python_round(data):
+    n = data.draw(st.integers(1, 3))
+    row = st.lists(_KEY_PARTS, min_size=2 * n, max_size=2 * n)
+    pool = data.draw(st.lists(row, min_size=1, max_size=5))
+    # repeated rows, some nudged below the ninth decimal: equal keys either way
+    pick = st.tuples(st.sampled_from(range(len(pool))), st.sampled_from([0.0, 3e-13]))
+    picks = data.draw(st.lists(pick, max_size=8))
+    parts = np.array([[x + nudge for x in pool[i]] for i, nudge in picks]).reshape(-1, 2 * n)
+    reference = [tuple(round(x, 9) for x in row) for row in parts.tolist()]
+    keys = _sort_keys(parts.view(complex))
+    assert keys.shape == parts.shape
+    assert keys.tolist() == [list(key) for key in reference]
+    assert np.array_equal(np.signbit(keys), np.signbit(np.array(reference).reshape(parts.shape)))
+    order, repeated = _descending(keys)
+    assert order.tolist() == sorted(range(len(reference)), key=reference.__getitem__, reverse=True)
+    assert repeated == (len(set(reference)) != len(reference))
 
 
 def _round12(chars):
@@ -245,9 +275,34 @@ def _elementary_abelian(k):
 
 @pytest.mark.parametrize("name", ["Z:64", "Z:128", "Z2^6"])
 def test_enumeration_matches_group_characters_after_round12(name):
+    # the eigh route, which pointed rings no longer take, against the exact characters
     table = _elementary_abelian(6) if name == "Z2^6" else mt.builtin_group(name)
-    got = mt.enumerate_characters(mt.group_ring(table))
+    got = _eigh_characters(mt.group_ring(table), mt.DEFAULT_TOL)
     assert _round12(got) == _round12(mt.group_characters(table))
+
+
+def _route_tables():
+    return abelian_tables_up_to(24) + [(f"Z:{n}", mt.cyclic_table(n)) for n in (32, 64, 128)]
+
+
+@pytest.mark.parametrize("name, table", _route_tables(), ids=[name for name, _ in _route_tables()])
+def test_pointed_and_eigh_routes_agree_after_round12(name, table):
+    ring = mt.group_ring(table)
+    assert pointed_table(ring) is not None
+    got = mt.enumerate_characters(ring)
+    assert _round12(got) == _round12(_eigh_characters(ring, mt.DEFAULT_TOL))
+    assert [ch.d.tobytes() for ch in got] == [ch.d.tobytes() for ch in mt.group_characters(table)]
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1e-9, 0.3, 1 - 1e-12, 1.0, 2.0, math.inf, math.nan])
+def test_pointed_route_keeps_what_the_full_check_passes(tol):
+    # the pointed route evaluates only the checks exact roots of unity can fail
+    kept = 0 <= max(tol, mt.DEFAULT_TOL) < 1
+    for _, table in abelian_tables_up_to(24):
+        ring = mt.group_ring(table)
+        expected = _passing(ring, _linear_characters(table.mul, table.identity), tol)
+        assert expected.all() == kept and expected.any() == kept
+        assert len(mt.enumerate_characters(ring, tol)) == expected.sum()
 
 
 def test_enumeration_matches_su2_closed_forms():
@@ -289,8 +344,9 @@ def _repeat(vals, vecs):
 
 def test_enumeration_reseeds_on_collided_eigenvalues(monkeypatch):
     # mixed eigenvectors read off distinct non-characters, which validation
-    # would drop silently; the collision must force the next seed instead
-    ring, closed = mt.builtin("zn:5")
+    # would drop silently; the collision must force the next seed instead.
+    # A non-pointed ring: a group ring's characters come from no eigensolver.
+    ring, closed = mt.builtin("ising")
     calls = _patched_eigh(monkeypatch, _collide, lambda call: call == 0)
     assert _round12(mt.enumerate_characters(ring)) == _round12(closed)
     assert calls == [0, 1]
@@ -322,7 +378,7 @@ def _close_sets(got, exact, tol=1e-9):
 def test_enumerate_elementary_abelian_matches_group_characters(k):
     table = _elementary_abelian(k)
     ring = mt.group_ring(table)
-    got = [ch.d for ch in mt.enumerate_characters(ring)]
+    got = [ch.d for ch in _eigh_characters(ring, mt.DEFAULT_TOL)]
     exact = [ch.d for ch in mt.group_characters(table)]
     assert len(got) == 2**k
     assert _close_sets(got, exact)

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -441,3 +442,57 @@ def test_malformed_input_exits_2_with_one_line(case, fib_dir, z2_dir, tmp_path):
     assert code == 2, (out, err)
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def _group_ring_invocations(d, group, order):
+    """Each verb that validates a group ring or reads its characters, on ``vectg --emit`` files."""
+    ring = str(d / "ring.json")
+    modules = sorted(str(p) for p in d.glob("module-*.json"))
+    runs = [["validate", ring], ["characters", ring], ["vectg", "--group", group, "--characters"]]
+    for i in range(order):
+        runs.append(["trace", ring, "--char", str(i), "--module", modules[i % len(modules)]])
+        runs.append(["flexible", ring, "--char", str(i), "--modules", *modules])
+        runs.append(["frobenius", ring, "--char", str(i), "--module", modules[-1], "--object", "0"])
+    return runs + [argv + ["--json"] for argv in runs]
+
+
+# a number as the CLI prints it, complex ones as "re+imi"
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?(?:[+-]\d+(?:\.\d+)?(?:e[-+]?\d+)?i)?")
+
+
+def _without_dust(text):
+    """``text`` with every printed number below 1e-9 in magnitude, rounding dust, written as 0."""
+
+    def zero_if_dust(match):
+        token = match.group()
+        value = complex(token.replace("i", "j")) if token.endswith("i") else float(token)
+        return "0" if abs(value) < 1e-9 else token
+
+    return _NUMBER.sub(zero_if_dust, text)
+
+
+@pytest.mark.parametrize("group, order", [("Z:12", 12), ("Z2xZ2", 4), ("Z:16", 16)])
+def test_group_ring_output_is_the_same_without_the_pointed_routes(
+    group, order, tmp_path, monkeypatch
+):
+    # Without a pointed table the validators run their dense checks and enumeration
+    # its eigh route.  Its characters differ from the exact ones in the last bits,
+    # which shows only in the dust a solve prints: C of a non-spherical character
+    # and the residuals.  Everything else must be byte-identical.
+    from modtrace import chars, fusion, nimrep
+
+    d = tmp_path / "g"
+    assert invoke("vectg", "--group", group, "--emit", str(d))[0] == 0
+    runs = _group_ring_invocations(d, group, order)
+    pointed = [invoke(*argv) for argv in runs]
+    assert fusion.pointed_table(files.load_ring(d / "ring.json")) is not None
+    for module in (fusion, chars, nimrep):
+        monkeypatch.setattr(module, "pointed_table", lambda ring: None)
+    dense = [invoke(*argv) for argv in runs]
+    for argv, before, after in zip(runs, pointed, dense):
+        assert before[0] == 0 and not before[2]
+        if argv[0] in ("validate", "characters", "vectg"):
+            assert after == before, argv
+        else:
+            assert after[0] == 0 and not after[2], argv
+            assert _without_dust(after[1]) == _without_dust(before[1]), argv

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import modtrace as mt
+from modtrace import fusion, nimrep
+from modtrace.fusion import pointed_table
 from helpers import (
     NAMED_RINGS,
+    abelian_tables_up_to,
     fusion_violations_reference,
     nimrep_violations_reference,
     typed_violations,
@@ -178,3 +181,69 @@ def test_module_beyond_float_exact_bound_is_refused():
     largest = _z2_module(2**26 - 1)
     got = mt.validate_nimrep(largest).violations
     assert got and typed_violations(got) == typed_violations(nimrep_violations_reference(largest))
+
+
+# -- the pointed shortcut: group rings and permutation modules -----------------
+
+
+def test_pointed_table_is_the_group_table_of_every_group_ring():
+    tables = [table for _, table in abelian_tables_up_to(24)] + [mt.builtin_group("S3")]
+    for table in tables:
+        ring = mt.group_ring(table)
+        mul = pointed_table(ring)
+        assert np.array_equal(mul, table.mul) and not mul.flags.writeable
+        assert pointed_table(ring) is mul  # once per ring
+    for name in NAMED_RINGS:
+        assert pointed_table(mt.builtin(name)[0]) is None
+
+
+def _z12_ring(mul, dual):
+    n = len(mul)
+    N = np.zeros((n, n, n), dtype=np.int64)
+    N[np.arange(n)[:, None], np.arange(n)[None, :], mul] = 1
+    return mt.FusionRing(n, [f"g{a}" for a in range(n)], 0, dual, N)
+
+
+def _ring_axioms_failed(ring) -> set:
+    """The axioms ``validate_fusion_ring`` reports failed; its report must be the dense check's."""
+    assert pointed_table(ring) is None
+    got = mt.validate_fusion_ring(ring).violations
+    assert got == fusion._dense_report(ring).violations
+    assert typed_violations(got) == typed_violations(fusion_violations_reference(ring))
+    return {v.axiom for v in got}
+
+
+def test_pointed_ring_with_a_nonassociative_table_gets_the_dense_report():
+    mul = mt.cyclic_table(12).mul.copy()
+    mul[1, [2, 3]] = mul[1, [3, 2]]  # still a Latin square with identity 0 and inverses -a
+    ring = _z12_ring(mul, (-np.arange(12)) % 12)
+    assert (ring.N.sum(axis=2) == 1).all()
+    assert "associativity" in _ring_axioms_failed(ring)
+
+
+def test_pointed_ring_whose_dual_is_not_the_inverse_gets_the_dense_report():
+    ring = _z12_ring(mt.cyclic_table(12).mul, np.arange(12))  # every simple self-dual
+    assert "dual_pairing" in _ring_axioms_failed(ring)
+
+
+def _module_axioms_failed(rep) -> set:
+    """The axioms ``validate_nimrep`` reports failed; its report must be the dense check's."""
+    assert pointed_table(rep.ring) is not None
+    got = mt.validate_nimrep(rep).violations
+    assert got == nimrep._dense_report(rep).violations
+    assert typed_violations(got) == typed_violations(nimrep_violations_reference(rep))
+    return {v.axiom for v in got}
+
+
+def test_group_ring_module_that_is_not_a_permutation_action_gets_the_dense_report():
+    rep = mt.regular_module(mt.builtin("zn:12")[0])
+    M = rep.M.copy()
+    M[1, 5, 0] = 1  # u = 1 sends simple 0 to simples 1 and 5
+    assert "composition" in _module_axioms_failed(mt.NimRep(rep.ring, 12, M))
+
+
+def test_group_ring_module_whose_permutations_do_not_compose_gets_the_dense_report():
+    rep = mt.vect_g_module(mt.cyclic_table(12), (0, 4, 8))  # k = 4
+    M = rep.M.copy()
+    M[1] = M[2]  # every M_u still a permutation matrix, but M_1 M_1 != M_2
+    assert "composition" in _module_axioms_failed(mt.NimRep(rep.ring, 4, M))
