@@ -216,8 +216,11 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
     if not ring.is_commutative():
         raise UnsupportedError("character enumeration requires a commutative ring")
     mul = pointed_table(ring)
-    if mul is None:
-        return _eigh_characters(ring, tol)
+    return _eigh_characters(ring, tol) if mul is None else _pointed_characters(ring, mul, tol)
+
+
+def _pointed_characters(ring: FusionRing, mul: np.ndarray, tol: float) -> list[DimChar]:
+    """The pivotal candidates of the ring of the abelian group with table ``mul``."""
     values, tol = _linear_characters(mul, ring.unit), max(tol, DEFAULT_TOL)
     # exact roots of unity are multiplicative and dual up to rounding, so of the checks of
     # validate_dim_char only "unit" (at a NaN tol) and "nonzero" (from tol = 1 on) can fail

@@ -1,13 +1,14 @@
 """Finite group tables and the graded-vector-space instance generators.
 
 A group of order ``g`` is a ``g x g`` multiplication table on indices.  Its
-group ring is a fusion ring with ``N[a][b][c] = delta(ab, c)`` and duality
-given by inversion.  Module categories over the graded-vector-space category
-come from subgroups ``H``: simple module objects are the cosets of ``H`` and
-a group element acts by left multiplication.  A linear character ``kappa`` of
-an abelian group is matched with the coset module of ``H`` exactly when
-``kappa`` restricts trivially to ``H`` - the closed-form oracle used to
-cross-check the eigenvalue solver.
+group ring is a fusion ring with ``N[a][b][c] = delta(ab, c)``, duality given
+by inversion and the table as its ``pointed_table``, so that validation,
+modules and characters take the pointed routes.  Module categories over the
+graded-vector-space category come from subgroups ``H``: simple module objects
+are the cosets of ``H`` and a group element acts by left multiplication.  A
+linear character ``kappa`` of an abelian group is matched with the coset
+module of ``H`` exactly when ``kappa`` restricts trivially to ``H`` - the
+closed-form oracle used to cross-check the eigenvalue solver.
 
 Cocycle twists are ignored throughout: they constrain which modules exist but
 never change the multiplicity matrices, and the trace criterion depends only
@@ -22,11 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .common import (
+    DEFAULT_TOL,
     StructuralError,
     UnsupportedError,
 )
-from .chars import DimChar, _characters, _linear_characters
-from .fusion import FusionRing, _int_array
+from .chars import DimChar, _pointed_characters
+from .fusion import FusionRing, _composes, _group_ring, _int_array
 from .nimrep import NimRep
 
 #: Largest group order accepted by the subgroup enumerator.
@@ -58,23 +60,15 @@ class GroupTable:
         bad = np.flatnonzero(~(rows_ok & cols_ok))
         if bad.size:
             raise StructuralError(f"row/column {bad[0]} is not a permutation")
-        # associativity, vectorised: (ab)c = a(bc)
-        if not np.array_equal(mul[mul, :], mul[:, mul]):
+        if not _composes(mul, mul):
             raise StructuralError("multiplication table is not associative")
-        # e with e*a = a and a*e = a for every a
-        units = np.flatnonzero((mul == full).all(axis=1) & (mul == full[:, None]).all(axis=0))
-        if not units.size:
-            raise StructuralError("table has no identity element")
-        identity = units[0]
-        hits = mul == identity
-        bad = np.flatnonzero(hits.sum(axis=1) != 1)
-        if bad.size:
-            raise StructuralError(f"element {bad[0]} has no unique inverse")
-        inverse = hits.argmax(axis=1).astype(np.int64)
+        # an associative Latin square is a group: e is the one with 0 * e = 0
+        identity = int((mul[0] == 0).argmax())
+        inverse = (mul == identity).argmax(axis=1)
         mul.flags.writeable = False
         inverse.flags.writeable = False
         object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "identity", int(identity))
+        object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", inverse)
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
@@ -132,11 +126,8 @@ def group_ring(table: GroupTable) -> FusionRing:
     ref = table.__dict__.get("_ring")
     ring = ref() if ref is not None else None
     if ring is None:
-        g = table.order
-        N = np.zeros((g, g, g), dtype=np.int64)
-        N[np.arange(g)[:, None], np.arange(g)[None, :], table.mul] = 1
-        labels = tuple(table.label(a) for a in range(g))
-        ring = FusionRing(g, labels, table.identity, table.inverse.copy(), N)
+        labels = tuple(table.label(a) for a in range(table.order))
+        ring = _group_ring(table.mul, labels, table.identity, table.inverse)
         table.__dict__["_ring"] = weakref.ref(ring)
     return ring
 
@@ -144,12 +135,12 @@ def group_ring(table: GroupTable) -> FusionRing:
 def group_characters(table: GroupTable) -> list[DimChar]:
     """All linear characters of an abelian group, as exact roots of unity.
 
-    Read off the group's exponent chain by :func:`~modtrace.chars._linear_characters`,
-    which :func:`~modtrace.chars.enumerate_characters` uses on every pointed ring.
+    Read off the group's exponent chain by the route that
+    :func:`~modtrace.chars.enumerate_characters` takes on the group ring.
     """
     if not table.is_abelian():
         raise UnsupportedError("character construction requires an abelian group")
-    return _characters(group_ring(table), _linear_characters(table.mul, table.identity))
+    return _pointed_characters(group_ring(table), table.mul, DEFAULT_TOL)
 
 
 #: Bytes of the boolean work array one closure step of :func:`subgroups` may use.

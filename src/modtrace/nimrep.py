@@ -22,7 +22,7 @@ from .common import (
     collect_violations,
     require_float_exact,
 )
-from .fusion import FusionRing, _int_array, fusion_matrices, pointed_table
+from .fusion import FusionRing, _composes, _int_array, fusion_matrices, pointed_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +62,7 @@ def validate_nimrep(rep: NimRep) -> ValidationReport:
 
     A rep of a ring with a :func:`~modtrace.fusion.pointed_table` ``mul``
     passes at once, in O(nk(n + k)), when every ``M_u`` is a permutation matrix
-    and the permutations compose, ``act[mul[u, v]] == act[u][act[v]]``: a
+    and the permutations compose along ``mul`` (``fusion._composes``): a
     group acting by permutations satisfies every axiom.  Any other rep gets
     the dense check, which compares composition one ``u`` at a time with
     float64 matrix products, exact because every sum is at most
@@ -71,9 +71,7 @@ def validate_nimrep(rep: NimRep) -> ValidationReport:
     """
     M, mul = rep.M, pointed_table(rep.ring)
     if mul is not None and (M.sum(axis=1) == 1).all() and (M.sum(axis=2) == 1).all():
-        # [u, i]: the image of module simple i under u, at 1-2 bytes an entry
-        act = M.argmax(axis=1).astype(np.min_scalar_type(rep.module_rank - 1))
-        if np.array_equal(act[mul], np.take(act, act, axis=1)):  # [u, v, i]
+        if _composes(mul, M.argmax(axis=1)):  # [u, i]: the image of module simple i under u
             return ValidationReport(())
     return _dense_report(rep)
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -21,10 +22,45 @@ def test_table_validation_rejects_garbage():
         mt.GroupTable(2, [[0, 0], [1, 1]])  # rows not permutations
     with pytest.raises(mt.StructuralError, match="row/column 1 is not a permutation"):
         mt.GroupTable(3, [[0, 1, 2], [1, 2, 0], [2, 2, 1]])  # column 1 and row 2 fail
-    with pytest.raises(mt.StructuralError):
-        mt.GroupTable(3, [[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # not associative
-    with pytest.raises(mt.StructuralError):
+    with pytest.raises(mt.StructuralError, match="multiplication table is not associative"):
+        mt.GroupTable(3, [[0, 2, 1], [2, 1, 0], [1, 0, 2]])  # a * b = -a - b mod 3, a Latin square
+    with pytest.raises(mt.StructuralError, match="row/column 1 is not a permutation"):
         mt.GroupTable(2, [[1, 0], [0, 0]])
+
+
+def _latin_squares(n):
+    """Every Latin square of order ``n``, row by row over the permutations of ``range(n)``."""
+    squares = [[]]
+    for _ in range(n):
+        squares = [
+            rows + [list(row)]
+            for rows in squares
+            for row in itertools.permutations(range(n))
+            if all(row[c] != r[c] for r in rows for c in range(n))
+        ]
+    return squares
+
+
+@pytest.mark.parametrize("n, count, groups", [(1, 1, 1), (2, 2, 2), (3, 12, 3), (4, 576, 16)])
+def test_every_associative_latin_square_is_a_group(n, count, groups):
+    # an associative Latin square always has an identity and unique inverses,
+    # so GroupTable needs no refusal for either
+    squares = _latin_squares(n)
+    assert len(squares) == count
+    accepted = 0
+    for mul in squares:
+        triples = itertools.product(range(n), repeat=3)
+        if not all(mul[mul[a][b]][c] == mul[a][mul[b][c]] for a, b, c in triples):
+            with pytest.raises(mt.StructuralError, match="multiplication table is not associative"):
+                mt.GroupTable(n, mul)
+            continue
+        table = mt.GroupTable(n, mul)
+        (e,) = [e for e in range(n) if all(mul[e][a] == a == mul[a][e] for a in range(n))]
+        inverse = [[b for b in range(n) if mul[a][b] == e == mul[b][a]] for a in range(n)]
+        assert table.identity == e
+        assert [[int(b)] for b in table.inverse] == inverse
+        accepted += 1
+    assert accepted == groups
 
 
 def test_table_identity_and_inverse():

@@ -190,9 +190,12 @@ def test_pointed_table_is_the_group_table_of_every_group_ring():
     tables = [table for _, table in abelian_tables_up_to(24)] + [mt.builtin_group("S3")]
     for table in tables:
         ring = mt.group_ring(table)
-        mul = pointed_table(ring)
+        assert pointed_table(ring) is table.mul  # recorded by the group ring, not derived again
+        # an equal ring built from N alone derives the same table from N
+        rebuilt = mt.FusionRing(ring.rank, ring.labels, ring.unit, ring.dual, ring.N)
+        mul = pointed_table(rebuilt)
         assert np.array_equal(mul, table.mul) and not mul.flags.writeable
-        assert pointed_table(ring) is mul  # once per ring
+        assert pointed_table(rebuilt) is mul  # once per ring
     for name in NAMED_RINGS:
         assert pointed_table(mt.builtin(name)[0]) is None
 
@@ -247,3 +250,34 @@ def test_group_ring_module_whose_permutations_do_not_compose_gets_the_dense_repo
     M = rep.M.copy()
     M[1] = M[2]  # every M_u still a permutation matrix, but M_1 M_1 != M_2
     assert "composition" in _module_axioms_failed(mt.NimRep(rep.ring, 4, M))
+
+
+def _z2_permutation_module(perm) -> mt.NimRep:
+    """The rep of ``Z:2`` on ``len(perm)`` points whose generator sends point ``i`` to ``perm[i]``."""
+    k = len(perm)
+    M = np.zeros((2, k, k), dtype=np.int64)
+    M[0] = np.eye(k, dtype=np.int64)
+    M[1, perm, np.arange(k)] = 1
+    return mt.NimRep(mt.group_ring(mt.cyclic_table(2)), k, M)
+
+
+def test_composition_check_on_300_points(monkeypatch):
+    # beyond 256 points the action is compared at 2 bytes an entry
+    assert np.min_scalar_type(300 - 1) == np.uint16
+    three_cycle = np.arange(300)
+    three_cycle[:3] = [1, 2, 0]  # its square is not the identity
+    rep = _z2_permutation_module(three_cycle)
+    assert "composition" in _module_axioms_failed(rep)
+    # M_1 M_1 against M_0 = 1: wrong exactly where the square of the 3-cycle moves a point
+    square = np.zeros((300, 300), dtype=np.int64)
+    square[three_cycle[three_cycle], np.arange(300)] = 1
+    expected = [
+        mt.Violation("composition", (1, 1, int(j), int(i)), int(square[j, i]), int(i == j))
+        for j, i in zip(*np.nonzero(square != np.eye(300, dtype=np.int64)))
+    ]
+    assert [v for v in mt.validate_nimrep(rep).violations if v.axiom == "composition"] == expected
+
+    # a composing involution passes without the dense check; a shift by 150 does not
+    # commute with reduction mod 256, so a 1-byte copy of its action would not compose
+    monkeypatch.setattr(nimrep, "_dense_report", lambda rep: pytest.fail("dense check ran"))
+    assert mt.validate_nimrep(_z2_permutation_module((np.arange(300) + 150) % 300)).valid
