@@ -2,6 +2,9 @@
 
 All integer data round-trips bit-exactly; floats are written with 12
 significant digits, so reloading agrees to better than 1e-12 relative.
+Integer arrays (``N``, ``M``, ``mul``) are written by the same encoder that
+:meth:`FusionRing.content_hash` hashes with, as ``json.dumps`` would write
+their ``tolist()``.
 Character and module files carry the content hash of their ring so that
 mismatched inputs are rejected early.
 """
@@ -16,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .common import StructuralError, complex_pair
-from .fusion import FusionRing
+from .fusion import FusionRing, _json_text
 
 if TYPE_CHECKING:  # imported where used, so loading a ring pulls in no other layer
     from .chars import DimChar
@@ -45,8 +48,9 @@ def round12_tree(data):
 
 
 def dumps(data) -> str:
-    """Canonical one-document JSON text: fixed key order, rounded floats."""
-    return json.dumps(round12_tree(data), separators=(", ", ": "), sort_keys=False)
+    """Canonical one-document JSON text: fixed key order, rounded floats.  Integer-array values
+    of the top-level object (``N``, ``M``, ``mul``) are written by the encoder of the hash."""
+    return _json_text(round12_tree(data), ", ", ": ")
 
 
 def save_json(data, path) -> None:
@@ -76,7 +80,7 @@ def _require(data: dict, keys: list[str], what: str) -> None:
 # -- rings --------------------------------------------------------------
 
 def save_ring(ring: FusionRing, path) -> None:
-    save_json(ring.to_dict(), path)
+    save_json(ring._fields(), path)
 
 
 def load_ring(path) -> FusionRing:
@@ -122,7 +126,7 @@ def save_module(rep: NimRep, path) -> None:
     data = {
         "ring": rep.ring.content_hash(),
         "module_rank": rep.module_rank,
-        "M": rep.M.tolist(),
+        "M": rep.M,
     }
     save_json(data, path)
 
@@ -139,7 +143,11 @@ def load_module(path, ring: FusionRing) -> NimRep:
 # -- groups -------------------------------------------------------------
 
 def save_group(table: GroupTable, path) -> None:
-    save_json({"order": table.order, "mul": table.mul.tolist()}, path)
+    data = {"order": table.order}
+    if table.labels is not None:
+        data["labels"] = list(table.labels)
+    data["mul"] = table.mul
+    save_json(data, path)
 
 
 def load_group(path) -> GroupTable:
@@ -147,4 +155,4 @@ def load_group(path) -> GroupTable:
 
     data = _load_dict(path)
     _require(data, ["order", "mul"], "group")
-    return GroupTable(data["order"], data["mul"])
+    return GroupTable(data["order"], data["mul"], data.get("labels"))

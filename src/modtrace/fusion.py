@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .common import (
     NumericError,
@@ -95,13 +96,18 @@ class FusionRing:
             "N": self.N.tolist(),
         }
 
+    def _fields(self) -> dict:
+        """:meth:`to_dict` with ``dual`` and ``N`` kept as arrays: what the ring file and the hash write."""
+        return {"rank": self.rank, "labels": list(self.labels), "unit": self.unit, "dual": self.dual, "N": self.N}
+
     def content_hash(self) -> str:
-        """First 12 hex digits of the SHA-256 of the compact JSON form; computed once per ring."""
+        """First 12 hex digits of the SHA-256 of ``json.dumps(self.to_dict(), separators=(",", ":"))``,
+        the compact JSON form, byte-built by :func:`_json_text`; computed once per ring."""
         cached = self.__dict__.get("_hash")
         if cached is None:
             import hashlib  # here, not at the top: it loads OpenSSL, which only hashing callers need
 
-            blob = json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=False)
+            blob = _json_text(self._fields(), ",", ":")
             cached = self.__dict__["_hash"] = hashlib.sha256(blob.encode()).hexdigest()[:12]
         return cached
 
@@ -126,6 +132,41 @@ class FusionRing:
 
     def __repr__(self) -> str:
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
+
+
+def _json_array(arr: np.ndarray, comma: str) -> str:
+    """``json.dumps(arr.tolist(), separators=(comma, ":"))`` for an integer array, byte-built
+    when every entry is a digit 0-9.
+
+    Then the text is that of an all-zero array, built by one bracket join per
+    axis, and every entry sits at a fixed stride along each axis: one strided
+    write puts the digits in place.  Any other array takes the ``json.dumps``
+    path.
+    """
+    if arr.size == 0 or arr.ndim == 0 or arr.min() < 0 or arr.max() > 9:
+        return json.dumps(arr.tolist(), separators=(comma, ":"))
+    text, strides = "0", []
+    for m in reversed(arr.shape):
+        strides.insert(0, len(text) + len(comma))
+        text = "[" + comma.join([text] * m) + "]"
+    raw = bytearray(text, "ascii")
+    digits = as_strided(np.frombuffer(raw, np.uint8)[arr.ndim :], arr.shape, strides)
+    np.add(arr, ord("0"), out=digits, casting="unsafe")
+    return raw.decode("ascii")
+
+
+def _json_text(data, comma: str, colon: str) -> str:
+    """``json.dumps(data, separators=(comma, colon))``, where an integer array, alone or as a
+    value of a top-level object (whose keys are strings), is written by :func:`_json_array`."""
+
+    def value(v) -> str:
+        if isinstance(v, np.ndarray) and v.dtype.kind in "iu":
+            return _json_array(v, comma)
+        return json.dumps(v, separators=(comma, colon))
+
+    if not isinstance(data, dict):
+        return value(data)
+    return "{" + comma.join(json.dumps(k) + colon + value(v) for k, v in data.items()) + "}"
 
 
 def _composes(mul: np.ndarray, act: np.ndarray) -> bool:

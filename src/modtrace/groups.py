@@ -71,6 +71,8 @@ class GroupTable:
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", inverse)
         if self.labels is not None:
+            if not isinstance(self.labels, (list, tuple)):
+                raise StructuralError("labels must be a list")
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != g:
                 raise StructuralError("label count does not match order")

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 import modtrace as mt
-from modtrace import catalog
+from modtrace import catalog, files
 from modtrace.chars import snap_components
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -15,6 +16,11 @@ ROOT2 = math.sqrt(2.0)
 
 # the catalogue's named rings; a parametrised family such as ``zn:<n>`` is listed with its ``<n>``
 NAMED_RINGS = tuple(name for name in catalog.BUILTIN_RINGS if "<n>" not in name)
+
+
+def saved_text_reference(data) -> str:
+    """The text a ``save_*`` writes for ``data`` in its ``tolist()`` form, by ``json.dumps``."""
+    return json.dumps(files.round12_tree(data), separators=(", ", ": ")) + "\n"
 
 
 def ring_families(max_zn: int = 10):

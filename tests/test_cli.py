@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -8,7 +9,7 @@ import pytest
 import modtrace as mt
 from modtrace import files
 from modtrace.cli import run
-from helpers import PHI
+from helpers import PHI, saved_text_reference
 
 
 def invoke(*argv):
@@ -410,6 +411,8 @@ MALFORMED_FIELDS = {
     "labels-null": ("fib/ring.json", '"labels": ["1", "tau"]', '"labels": null'),
     "module-rank-string": ("fib/module-regular.json", '"module_rank": 2', '"module_rank": "two"'),
     "order-string": ("z2/group.json", '"order": 2', '"order": "x"'),
+    "group-labels-int": ("z2/group.json", '"labels": ["e", "g"]', '"labels": 5'),
+    "group-labels-count": ("z2/group.json", '"labels": ["e", "g"]', '"labels": ["e"]'),
 }
 
 
@@ -496,3 +499,25 @@ def test_group_ring_output_is_the_same_without_the_pointed_routes(
         else:
             assert after[0] == 0 and not after[2], argv
             assert _without_dust(after[1]) == _without_dust(before[1]), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["builtin", name] for name in ("fibonacci", "ising", "rep_s3", "zn:1", "zn:12", "zn:32")]
+    + [["vectg", "--group", name] for name in ("S3", "Z2xZ2", "Z:12")],
+    ids=lambda argv: argv[-1],
+)
+def test_emitted_bytes_equal_the_reference_encoding(argv, tmp_path):
+    d = tmp_path / "out"
+    code, out, _ = invoke(*argv, "--emit", str(d), "--json")
+    assert code == 0
+    emitted = sorted(d.glob("*.json"))
+    assert d / "ring.json" in emitted
+    for path in emitted:
+        text = path.read_text(encoding="utf-8")
+        assert text == saved_text_reference(json.loads(text)), path.name
+    # every file names its ring by the hash of the compact to_dict form
+    blob = json.dumps(files.load_ring(d / "ring.json").to_dict(), separators=(",", ":"), sort_keys=False)
+    expected = hashlib.sha256(blob.encode()).hexdigest()[:12]
+    assert {json.loads(p.read_text())["ring"] for p in emitted if p.name.startswith(("char-", "module-"))} == {expected}
+    assert json.loads(out).get("hash", expected) == expected
