@@ -150,10 +150,19 @@ def _descending(keys: np.ndarray) -> tuple[np.ndarray, bool]:
 def _characters(ring: FusionRing, rows) -> list[DimChar]:
     """The rows of a 2-d array as characters, in descending order of their :func:`_sort_keys`,
     which puts the Frobenius-Perron character first.
+
+    Each character carries its :func:`global_dimension` and :func:`c_invariant`
+    from one reduction over all rows, bit-equal to the one-row sums.
     """
     rows = np.asarray(rows, dtype=complex)
     order, _ = _descending(_sort_keys(rows))
-    return [DimChar(ring, rows[i]) for i in order]
+    dims, cs = (np.abs(rows) ** 2).sum(axis=1), (rows**2).sum(axis=1)
+    chars = []
+    for i in order:
+        char = DimChar(ring, rows[i])
+        char.__dict__.update(_dim_c=float(dims[i]), _c=complex(cs[i]))
+        chars.append(char)
+    return chars
 
 
 def _linear_characters(mul: np.ndarray, identity: int) -> np.ndarray:
@@ -213,9 +222,10 @@ def enumerate_characters(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[Dim
     both routes, candidates failing :func:`validate_dim_char` are dropped and
     the rest sorted by :func:`_characters`.
     """
-    if not ring.is_commutative():
-        raise UnsupportedError("character enumeration requires a commutative ring")
     mul = pointed_table(ring)
+    # a pointed ring's N[a][b] is the indicator of mul[a, b], so N commutes exactly when mul does
+    if not (ring.is_commutative() if mul is None else np.array_equal(mul, mul.T)):
+        raise UnsupportedError("character enumeration requires a commutative ring")
     return _eigh_characters(ring, tol) if mul is None else _pointed_characters(ring, mul, tol)
 
 
@@ -245,7 +255,8 @@ def _eigh_characters(ring: FusionRing, tol: float) -> list[DimChar]:
     because ``N_a`` is normal its error is quadratic in the eigenvector's
     error, so no refinement step follows.  All quotients come from one
     ``(n^2, n) @ (n, n)`` product and one contraction, O(n^4) in total, and
-    all candidates are checked at once by :func:`_passing`.
+    all candidates are checked at once by :func:`_passing`; the survivors are
+    listed by :func:`_characters`.
     """
     n = ring.rank
     # stack[a] = N_a, complex once so the products below cast nothing
@@ -261,12 +272,10 @@ def _eigh_characters(ring: FusionRing, tol: float) -> list[DimChar]:
 
         moved = (stack.reshape(n * n, n) @ vecs).reshape(n, n, n)  # [a, c, m] = (N_a v_m)[c]
         chars = snap_components(np.einsum("cm,acm->ma", vecs.conj(), moved))
-        order, repeated = _descending(_sort_keys(chars))
-        if repeated:
+        if _descending(_sort_keys(chars))[1]:
             continue  # two eigenvectors gave the same character
 
-        keep = _passing(ring, chars, tol)
-        return [DimChar(ring, chars[i]) for i in order[keep[order]]]
+        return _characters(ring, chars[_passing(ring, chars, tol)])
 
     raise NumericError(
         f"degenerate eigenproblem after {ENUMERATION_RETRIES} reseeding attempts"
@@ -289,7 +298,12 @@ def is_spherical(char: DimChar) -> bool:
 
 
 def global_dimension(char: DimChar) -> float:
-    """``dim(C) = sum_a |d(a)|^2``; strictly positive.  Computed once per character."""
+    """``dim(C) = sum_a |d(a)|^2``; strictly positive.
+
+    A character listed by :func:`enumerate_characters`,
+    :func:`~modtrace.groups.group_characters` or :func:`~modtrace.catalog.builtin`
+    carries it from construction; any other is computed on its first call and kept.
+    """
     dim_c = char.__dict__.get("_dim_c")
     if dim_c is None:
         dim_c = char.__dict__["_dim_c"] = float(np.sum(np.abs(char.d) ** 2))
@@ -299,7 +313,9 @@ def global_dimension(char: DimChar) -> float:
 def c_invariant(char: DimChar) -> complex:
     """``C = sum_a d(a)^2``; equals ``dim(C)`` for spherical characters, else 0.
 
-    Computed once per character.
+    A character listed by :func:`enumerate_characters`,
+    :func:`~modtrace.groups.group_characters` or :func:`~modtrace.catalog.builtin`
+    carries it from construction; any other is computed on its first call and kept.
     """
     c = char.__dict__.get("_c")
     if c is None:

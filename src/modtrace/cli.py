@@ -263,9 +263,15 @@ def _cmd_frobenius(args, out) -> int:
 
 
 def _cmd_vectg(args, out) -> int:
+    from .groups import SUBGROUP_ORDER_BOUND
+
     table = _load_group(args.group)
     abelian = table.is_abelian()
-    subs = mt.subgroups(table)
+    # only --subgroups and --emit need the subgroups beyond the enumeration bound
+    if args.subgroups or args.emit or table.order <= SUBGROUP_ORDER_BOUND:
+        subs = mt.subgroups(table)
+    else:
+        subs = None
     if args.characters and not abelian:
         raise UnsupportedError("characters are only enumerated for abelian groups")
     chars = mt.group_characters(table) if abelian and (args.characters or args.emit) else []
@@ -277,8 +283,9 @@ def _cmd_vectg(args, out) -> int:
         payload = {
             "order": table.order,
             "abelian": abelian,
-            "subgroup_count": len(subs),
         }
+        if subs is not None:
+            payload["subgroup_count"] = len(subs)
         if args.subgroups:
             payload["subgroups"] = [list(s) for s in subs]
         if args.characters:
@@ -289,7 +296,8 @@ def _cmd_vectg(args, out) -> int:
     else:
         print(f"order:     {table.order}", file=out)
         print(f"abelian:   {str(abelian).lower()}", file=out)
-        print(f"subgroups: {len(subs)}", file=out)
+        if subs is not None:
+            print(f"subgroups: {len(subs)}", file=out)
         if args.subgroups:
             for idx, sub in enumerate(subs):
                 elems = ", ".join(table.label(x) for x in sub)

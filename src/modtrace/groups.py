@@ -221,7 +221,9 @@ def vect_g_module(table: GroupTable, H) -> NimRep:
 
     Simple module objects are the cosets ``aH`` ordered by their smallest
     element; ``x`` acts by ``aH -> (xa)H``.  The result is an indecomposable
-    NIM-rep of the group ring of rank ``|G| / |H|``.
+    NIM-rep of the group ring of rank ``|G| / |H|``: ``G`` acts transitively on
+    ``G/H``, so the rep carries that answer of
+    :func:`~modtrace.nimrep.is_indecomposable` from construction.
     """
     sub = np.flatnonzero(_subgroup_mask(table, H))
     # coset_of[a] numbers aH by the rank of its smallest element
@@ -229,7 +231,9 @@ def vect_g_module(table: GroupTable, H) -> NimRep:
     g, k = table.order, reps.size
     M = np.zeros((g, k, k), dtype=np.int64)
     M[np.arange(g)[:, None], coset_of[table.mul[:, reps]], np.arange(k)[None, :]] = 1
-    return NimRep(group_ring(table), k, M)
+    rep = NimRep(group_ring(table), k, M)
+    rep.__dict__["_indecomposable"] = True
+    return rep
 
 
 #: Absolute bound of :func:`matched_vectg_oracle` on ``|kappa(h) - 1|``; the oracle's

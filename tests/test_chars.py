@@ -123,8 +123,16 @@ def test_enumerate_rejects_noncommutative():
     from modtrace.catalog import s3_table
 
     ring = mt.group_ring(s3_table())
-    with pytest.raises(mt.UnsupportedError):
+    with pytest.raises(mt.UnsupportedError, match="^character enumeration requires a commutative ring$"):
         mt.enumerate_characters(ring)
+
+
+def test_pointed_ring_commutativity_is_read_from_its_table(monkeypatch):
+    def boom(self):
+        raise AssertionError("the n^3 commutativity test ran on a pointed ring")
+
+    monkeypatch.setattr(mt.FusionRing, "is_commutative", boom)
+    assert len(mt.enumerate_characters(mt.group_ring(mt.cyclic_table(12)))) == 12
 
 
 def test_conjugate_z3():
@@ -295,6 +303,41 @@ def test_pointed_and_eigh_routes_agree_after_round12(name, table):
     expected = [ch.d.tobytes() for ch in group_characters_reference(table)]
     assert [ch.d.tobytes() for ch in got] == expected
     assert [ch.d.tobytes() for ch in mt.group_characters(table)] == expected
+
+
+def _carried_lists():
+    """``(label, characters)`` for every list that carries dim(C) and C: both routes."""
+    for name, table in abelian_tables_up_to(24) + [("Z:128", mt.cyclic_table(128))]:
+        yield f"{name}/group", mt.group_characters(table)
+        yield f"{name}/enumerated", mt.enumerate_characters(mt.group_ring(table))
+    for name in NAMED_RINGS:
+        ring, chars = mt.builtin(name)
+        yield f"{name}/builtin", chars
+        yield f"{name}/enumerated", mt.enumerate_characters(ring)
+    for k in range(1, 41):
+        yield f"SU2_{k}", mt.enumerate_characters(su2_ring(k))
+
+
+def test_character_lists_carry_exact_dim_c_and_c():
+    # recorded from one reduction over all rows, bit-equal to the one-row sums
+    count = 0
+    for label, chars in _carried_lists():
+        for char in chars:
+            dim_c, c = char.__dict__["_dim_c"], char.__dict__["_c"]
+            assert type(dim_c) is float and type(c) is complex, label
+            assert dim_c == float(np.sum(np.abs(char.d) ** 2)), label
+            assert c == complex(np.sum(char.d**2)), label
+            assert mt.global_dimension(char) is dim_c and mt.c_invariant(char) is c
+            count += 1
+    assert count > 700
+
+
+def test_characters_built_by_hand_stay_lazy():
+    ring = mt.builtin("fibonacci")[0]
+    for char in (mt.DimChar(ring, [1.0, PHI]), mt.fp_character(ring)):
+        assert "_dim_c" not in char.__dict__ and "_c" not in char.__dict__
+        assert mt.global_dimension(char) == float(np.sum(np.abs(char.d) ** 2))
+        assert mt.c_invariant(char) == complex(np.sum(char.d**2))
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, 1e-9, 0.3, 1 - 1e-12, 1.0, 2.0, math.inf, math.nan])

@@ -229,6 +229,23 @@ def test_vectg_subgroups_text_listing():
         assert line in lines
 
 
+def test_vectg_characters_beyond_the_subgroup_bound(tmp_path):
+    code, out, err = invoke("vectg", "--group", "Z:128", "--characters", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert "subgroup_count" not in payload and payload["order"] == 128
+    assert len(payload["characters"]) == 128
+    code, out, _ = invoke("vectg", "--group", "Z:65")
+    assert code == 0 and out == "order:     65\nabelian:   true\n"
+    for flag in ("--subgroups", "--emit"):
+        argv = ["vectg", "--group", "Z:65", flag] + ([str(tmp_path / "d")] if flag == "--emit" else [])
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "") and "limited to order <= 64" in err
+    assert not (tmp_path / "d").exists()
+    code, out, _ = invoke("vectg", "--group", "Z:64", "--json")  # at the bound, counted
+    assert code == 0 and json.loads(out)["subgroup_count"] == 7
+
+
 def test_vectg_computes_characters_only_when_asked(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("group_characters called without --characters or --emit")

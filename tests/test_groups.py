@@ -223,6 +223,17 @@ def test_subgroups_and_coset_modules_match_loop_reference(table):
         assert got.tobytes() == expected.tobytes()
 
 
+def test_coset_modules_carry_the_searched_indecomposability():
+    # recorded at construction: equal to the search on a copy that carries nothing
+    for name, table in REFERENCE_TABLES:
+        for H in mt.subgroups(table):
+            rep = mt.vect_g_module(table, H)
+            recorded = rep.__dict__["_indecomposable"]
+            fresh = mt.NimRep(rep.ring, rep.module_rank, rep.M)
+            assert "_indecomposable" not in fresh.__dict__
+            assert recorded is mt.is_indecomposable(fresh) is True, (name, H)
+
+
 def test_subgroups_in_blocks_of_one(monkeypatch):
     # the smallest budget closes one subgroup's extensions at a time
     monkeypatch.setattr(groups, "_CLOSURE_BYTES", 1)

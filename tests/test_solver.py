@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -359,6 +360,34 @@ def test_exact_tolerance_agrees_with_vectg_oracle_on_z4():
     for char, sub in pairs:
         cert = mt.solve_module_trace(ring, char, mt.vect_g_module(table, sub), 0.0)
         assert cert.matched == mt.matched_vectg_oracle(table, sub, char), (char, sub)
+
+
+@pytest.mark.parametrize("g", [8, 9, 12, 15, 16])
+def test_verdicts_are_constant_on_galois_orbits(g):
+    # chi -> chi^t for t coprime to g is a field automorphism of Q(zeta_g); it keeps
+    # the kernel of chi, so it keeps the verdict on every coset module
+    table = mt.cyclic_table(g)
+    ring = mt.group_ring(table)
+    units = [t for t in range(2, g) if math.gcd(t, g) == 1]
+    seen = set()
+    for sub in mt.subgroups(table):
+        rep = mt.vect_g_module(table, sub)
+        for c, char in enumerate(mt.group_characters(table)):
+            matched = mt.solve_module_trace(ring, char, rep).matched
+            for t in units:
+                image = mt.DimChar(ring, char.d**t)
+                assert mt.solve_module_trace(ring, image, rep).matched is matched, (sub, c, t)
+            seen.add(matched)
+    assert seen == {True, False}
+
+
+def test_verdicts_agree_under_the_conjugate_pivotal_structure():
+    count = 0
+    for label, ring, char, rep in instance_universe(max_zn=12):
+        matched = mt.solve_module_trace(ring, char, rep).matched
+        assert mt.solve_module_trace(ring, mt.conjugate_char(char), rep).matched is matched, label
+        count += matched
+    assert count > 100
 
 
 def test_eigenvector_scale_uniqueness():
