@@ -147,15 +147,15 @@ def _descending(keys: np.ndarray) -> tuple[np.ndarray, bool]:
     return order, bool((ranked[1:] == ranked[:-1]).all(axis=1).any())
 
 
-def _characters(ring: FusionRing, rows) -> list[DimChar]:
-    """The rows of a 2-d array as characters, in descending order of their :func:`_sort_keys`,
-    which puts the Frobenius-Perron character first.
+def _characters(ring: FusionRing, rows, keys: np.ndarray | None = None) -> list[DimChar]:
+    """The rows of a 2-d array as characters, in descending order of their :func:`_sort_keys`
+    (``keys``, when the caller has them), which puts the Frobenius-Perron character first.
 
     Each character carries its :func:`global_dimension` and :func:`c_invariant`
     from one reduction over all rows, bit-equal to the one-row sums.
     """
     rows = np.asarray(rows, dtype=complex)
-    order, _ = _descending(_sort_keys(rows))
+    order, _ = _descending(_sort_keys(rows) if keys is None else keys)
     dims, cs = (np.abs(rows) ** 2).sum(axis=1), (rows**2).sum(axis=1)
     chars = []
     for i in order:
@@ -256,7 +256,7 @@ def _eigh_characters(ring: FusionRing, tol: float) -> list[DimChar]:
     error, so no refinement step follows.  All quotients come from one
     ``(n^2, n) @ (n, n)`` product and one contraction, O(n^4) in total, and
     all candidates are checked at once by :func:`_passing`; the survivors are
-    listed by :func:`_characters`.
+    listed by :func:`_characters`, in the order of the repeat check's keys.
     """
     n = ring.rank
     # stack[a] = N_a, complex once so the products below cast nothing
@@ -272,10 +272,12 @@ def _eigh_characters(ring: FusionRing, tol: float) -> list[DimChar]:
 
         moved = (stack.reshape(n * n, n) @ vecs).reshape(n, n, n)  # [a, c, m] = (N_a v_m)[c]
         chars = snap_components(np.einsum("cm,acm->ma", vecs.conj(), moved))
-        if _descending(_sort_keys(chars))[1]:
+        keys = _sort_keys(chars)
+        if _descending(keys)[1]:
             continue  # two eigenvectors gave the same character
 
-        return _characters(ring, chars[_passing(ring, chars, tol)])
+        keep = _passing(ring, chars, tol)
+        return _characters(ring, chars[keep], keys[keep])
 
     raise NumericError(
         f"degenerate eigenproblem after {ENUMERATION_RETRIES} reseeding attempts"

@@ -62,35 +62,6 @@ def dimension_matrix(char: DimChar, rep: NimRep) -> np.ndarray:
     return q
 
 
-def _structural_residuals(m: np.ndarray, dim_c: float) -> tuple[float, float]:
-    """``max |Q - Q^dagger|`` and ``max |Q^2 - dim(C) Q|``."""
-    return float(np.abs(m - m.conj().T).max()), float(np.abs(m @ m - dim_c * m).max())
-
-
-@dataclass(frozen=True)
-class QPropertyReport:
-    """Residuals of the structural identities of a dimension matrix."""
-
-    residual_square: float  #: max |Q^2 - dim(C) Q|
-    residual_hermitian: float  #: max |Q - Q^dagger|
-    eigen_deviation: float  #: max over eigenvalues of min(|lam|, |lam - dim(C)|)
-    passed: bool  #: every residual negligible at its scale
-
-
-def q_property_report(q: np.ndarray, dim_c: float) -> QPropertyReport:
-    """Check ``Q^2 = dim(C) Q`` (at scale ``max|Q|**2``), hermiticity and the 0/dim(C) spectrum."""
-    s = float(np.max(np.abs(q)))
-    residual_hermitian, residual_square = _structural_residuals(q, dim_c)
-    eigs = np.linalg.eigvalsh((q + q.conj().T) / 2.0)
-    eigen_deviation = float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - dim_c))))
-    passed = (
-        negligible(residual_square, s * s)
-        and negligible(residual_hermitian, s)
-        and negligible(eigen_deviation, s)
-    )
-    return QPropertyReport(residual_square, residual_hermitian, eigen_deviation, passed)
-
-
 _COMPLEX = np.dtype(complex)
 
 
@@ -120,7 +91,8 @@ class TraceCertificate:
 
     The fields are what the verdict and the trace vector read; the identities
     the verdict implies are reported by :attr:`residuals`, computed on first read,
-    and :attr:`spherical_by_c` is computed on each read.
+    and :attr:`spherical_by_c` is computed on each read.  When a zero entry decided the
+    verdict, ``max_minor`` and ``diagnostics`` are computed on first read and kept in ``__dict__``.
     """
 
     matched: bool
@@ -142,6 +114,17 @@ class TraceCertificate:
             "scale": scale, "tol": tol,
         })
 
+    def __getattr__(self, name: str):
+        # reached only when a field is missing: the deferred pair of a zero-entry verdict
+        if name not in ("max_minor", "diagnostics"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m, scale, tol = self.Q, self.scale, self.tol
+        max_minor, diagnostics, _ = _rank_test(
+            m, int(np.abs(m).argmax()), scale, tol, negligible(self.min_entry, scale, tol)
+        )
+        self.__dict__.update({"max_minor": max_minor, "diagnostics": diagnostics})
+        return self.__dict__[name]
+
     @property
     def spherical_by_c(self) -> bool:
         """``C = dim(C)``, by :func:`~modtrace.common.negligible` at scale ``dim(C)``."""
@@ -159,10 +142,9 @@ class TraceCertificate:
         residuals = self.__dict__.get("_residuals")
         if residuals is None:
             m, dim_c = self.Q, self.dim_c
-            hermitian, q_square = _structural_residuals(m, dim_c)
             residuals = {
-                "hermitian": hermitian,
-                "q_square": q_square,
+                "hermitian": float(np.abs(m - m.conj().T).max()),
+                "q_square": float(np.abs(m @ m - dim_c * m).max()),
                 "max_minor": self.max_minor,
                 "min_entry": self.min_entry,
             }
@@ -189,6 +171,30 @@ class TraceCertificate:
         return out
 
 
+def _rank_test(m: np.ndarray, top: int, scale: float, tol: float, zero_entry: bool) -> tuple:
+    """``max_minor``, the diagnostics and the anchor of ``Q``, pivoted at ``top = argmax|Q|``.
+
+    The diagnostics list, in this order, every test that fails: the rank test,
+    the zero entry (``zero_entry``, decided by the caller) and the zero diagonal.
+    """
+    # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
+    # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s].  Extremes are read
+    # at their arg-index: cheaper than a reduction on small arrays, and equal to it.
+    r, s = divmod(top, m.shape[1])
+    minors = m.item(top) * m
+    minors -= m[:, s, None] * m[r]
+    minors = np.abs(minors)
+    max_minor = minors.item(minors.argmax())
+    diagnostics = ("rank exceeds 1",) if not negligible(max_minor, scale * scale, tol) else ()
+    if zero_entry:
+        diagnostics += ("zero entry in Q",)
+    diagonal = m.real.diagonal()
+    p = int(diagonal.argmax())
+    if negligible(diagonal.item(p), scale, tol):
+        diagnostics += ("zero diagonal",)
+    return max_minor, diagnostics, p
+
+
 def solve_module_trace(
     ring: FusionRing, char: DimChar, rep: NimRep, tol: float = DEFAULT_TOL
 ) -> TraceCertificate:
@@ -196,12 +202,14 @@ def solve_module_trace(
 
     ``matched`` is true iff ``Q`` has rank at most 1 and every entry of ``Q``
     is nonzero, by :func:`~modtrace.common.negligible` at scale ``max|Q|``
-    (``max|Q|**2`` for the minors, which are quadratic in ``Q``).  The rank
-    test is O(k^2): with the pivot ``(r, s)`` at the largest entry of ``|Q|``,
-    ``max_minor`` is the largest 2x2 minor through the pivot,
-    ``max_ab |Q[r][s] Q[a][b] - Q[a][s] Q[r][b]|``, which vanishes exactly
-    when the rank is at most 1 (it is 0 for ``Q = 0``).  For the positive
-    semidefinite ``Q`` of valid inputs the pivot is the anchor below.
+    (``max|Q|**2`` for the minors, which are quadratic in ``Q``).  The
+    smallest entry is tested first: a zero entry decides the verdict, and the
+    certificate then computes ``max_minor`` and ``diagnostics`` on their first
+    read.  Otherwise the O(k^2) rank test runs here: with the pivot ``(r, s)``
+    at the largest entry of ``|Q|``, ``max_minor`` is the largest 2x2 minor
+    through the pivot, ``max_ab |Q[r][s] Q[a][b] - Q[a][s] Q[r][b]|``, which
+    vanishes exactly when the rank is at most 1 (it is 0 for ``Q = 0``).  For
+    the positive semidefinite ``Q`` of valid inputs the pivot is the anchor below.
 
     When matched, the vector is recovered from the anchor column:
     ``d_M[i] = Q[i][p] / sqrt(Q[p][p])`` at the largest diagonal entry ``p``,
@@ -214,39 +222,25 @@ def solve_module_trace(
         raise StructuralError("ring references of character and module disagree")
     m = dimension_matrix(char, rep)
     mag = np.abs(m)
-    diagnostics: list[str] = []
-
-    # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
-    # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s].  Extremes are read
-    # at their arg-index: cheaper than a reduction on small arrays, and equal to it.
     top = int(mag.argmax())
-    r, s = divmod(top, m.shape[1])
-    scale = mag.item(top)
-    minors = m.item(top) * m
-    minors -= m[:, s, None] * m[r]
-    minors = np.abs(minors)
-    max_minor = minors.item(minors.argmax())
-    if not negligible(max_minor, scale * scale, tol):
-        diagnostics.append("rank exceeds 1")
-
-    min_entry = mag.item(mag.argmin())
+    scale, min_entry = mag.item(top), mag.item(mag.argmin())
+    dim_c, c = global_dimension(char), c_invariant(char)
     if negligible(min_entry, scale, tol):
-        diagnostics.append("zero entry in Q")
-
-    diagonal = m.real.diagonal()
-    p = int(diagonal.argmax())
-    q_pp = diagonal.item(p)
-    if negligible(q_pp, scale, tol):
-        diagnostics.append("zero diagonal")
-
+        # built without max_minor and diagnostics, which TraceCertificate.__getattr__ fills
+        cert = TraceCertificate.__new__(TraceCertificate)
+        cert.__dict__.update({
+            "matched": False, "Q": m, "trace": None, "dim_c": dim_c, "c": c,
+            "min_entry": min_entry, "scale": scale, "tol": tol,
+        })
+        return cert
+    max_minor, diagnostics, p = _rank_test(m, top, scale, tol, False)
     trace = None
     if not diagnostics:
-        d = m[:, p] / math.sqrt(q_pp)
+        d = m[:, p] / math.sqrt(m.item(p, p).real)
         d.setflags(write=False)
         trace = ModuleTrace(d, p)
     return TraceCertificate(
-        trace is not None, m, trace, global_dimension(char), c_invariant(char),
-        tuple(diagnostics), max_minor, min_entry, scale, tol,
+        trace is not None, m, trace, dim_c, c, diagnostics, max_minor, min_entry, scale, tol
     )
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 import modtrace as mt
 from modtrace import catalog, files
 from modtrace.chars import snap_components
+from modtrace.common import negligible
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 ROOT2 = math.sqrt(2.0)
@@ -67,6 +69,36 @@ def instance_universe(max_zn: int = 10, with_sums: bool = True):
 def dimension_matrix_reference(char, rep) -> np.ndarray:
     """``Q = sum_u d(u) M_u`` as one ``einsum``, summed in the order of ``u``."""
     return np.einsum("u,ujk->jk", char.d, rep.M)
+
+
+def q_structural_residuals(q: np.ndarray, dim_c: float) -> tuple[float, float]:
+    """``max |Q - Q^dagger|`` and ``max |Q^2 - dim(C) Q|``."""
+    return float(np.abs(q - q.conj().T).max()), float(np.abs(q @ q - dim_c * q).max())
+
+
+@dataclass(frozen=True)
+class QPropertyReport:
+    """Residuals of the structural identities of a dimension matrix."""
+
+    residual_square: float  #: max |Q^2 - dim(C) Q|
+    residual_hermitian: float  #: max |Q - Q^dagger|
+    eigen_deviation: float  #: max over eigenvalues of min(|lam|, |lam - dim(C)|)
+    passed: bool  #: every residual negligible at its scale
+
+
+def q_property_report(q: np.ndarray, dim_c: float) -> QPropertyReport:
+    """Oracle for the identities a dimension matrix satisfies: ``Q^2 = dim(C) Q``
+    (at scale ``max|Q|**2``), hermiticity and the 0/dim(C) spectrum (at ``max|Q|``)."""
+    s = float(np.max(np.abs(q)))
+    residual_hermitian, residual_square = q_structural_residuals(q, dim_c)
+    eigs = np.linalg.eigvalsh((q + q.conj().T) / 2.0)
+    eigen_deviation = float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - dim_c))))
+    passed = (
+        negligible(residual_square, s * s)
+        and negligible(residual_hermitian, s)
+        and negligible(eigen_deviation, s)
+    )
+    return QPropertyReport(residual_square, residual_hermitian, eigen_deviation, passed)
 
 
 def trace_exists_bruteforce(Q: np.ndarray, dim_c: float, tol: float = 1e-7) -> bool:

@@ -17,6 +17,7 @@ from helpers import (
     PHI,
     abelian_tables_up_to,
     instance_universe,
+    q_property_report,
     trace_exists_bruteforce,
 )
 
@@ -55,7 +56,7 @@ def test_criterion_2_q_structural_properties():
         m = q
         assert np.max(np.abs(m @ m - dim_c * m)) < 1e-8, label
         assert np.max(np.abs(m - m.conj().T)) < 1e-10, label
-        report = mt.q_property_report(q, dim_c)
+        report = q_property_report(q, dim_c)
         assert report.passed, label
         count += 1
     assert count >= 500

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 import modtrace as mt
 from helpers import (
     PHI,
@@ -13,11 +14,13 @@ from helpers import (
     dimension_matrix_reference,
     instance_universe,
     max_minor_bruteforce,
+    q_property_report,
     su2_characters,
     su2_ring,
     trace_exists_bruteforce,
 )
 from modtrace import solver
+from modtrace.common import negligible
 
 
 def fib_setup():
@@ -143,14 +146,23 @@ def test_dimension_matrix_matches_einsum_oracle(monkeypatch):
 def test_op_records_equal_their_definitions_bit_for_bit():
     # every number of a catalog_sweep op, recomputed from Q with plain numpy in the
     # operand order of its definition; == on each, no tolerance
-    objects = 0
+    objects = deferred = 0
     for label, ring, char, rep, _ in _oracle_inputs():
         cert = mt.solve_module_trace(ring, char, rep)
+        # a zero entry decides the verdict, and the rank test waits for its first read
+        lazy = "max_minor" not in vars(cert)
+        assert lazy == ("diagnostics" not in vars(cert)) == negligible(cert.min_entry, cert.scale), label
+        deferred += lazy
         q = cert.Q
         mag = np.abs(q)
         r, s = np.unravel_index(mag.argmax(), q.shape)
         minors = np.abs(q[r, s] * q - q[:, s, None] * q[r])
         assert (cert.scale, cert.min_entry, cert.max_minor) == (mag.max(), mag.min(), minors.max()), label
+        diagnostics = cert.diagnostics
+        assert diagnostics == diagnostics_bruteforce(q), label
+        out = cert.to_dict()  # reads both again, as the CLI does
+        assert out["residuals"]["max_minor"] == minors.max() and out["diagnostics"] == list(diagnostics)
+        assert cert.diagnostics is diagnostics, label
         if not cert.matched:
             continue
         p = int(q.diagonal().real.argmax())
@@ -166,7 +178,7 @@ def test_op_records_equal_their_definitions_bit_for_bit():
             assert morita.scale == q[m, m] / d[m], label
             assert morita.max_residual == np.abs(q[:, m] - np.conj(d[m]) * d).max(), label
             objects += 1
-    assert objects > 10000
+    assert objects > 10000 and deferred > 4000
 
 
 def test_records_stay_frozen():
@@ -209,18 +221,18 @@ def test_q_property_report_fails_on_nan_residual(position, monkeypatch):
     q = mt.dimension_matrix(golden, reg)
     nan = float("nan")
     if position == "eigen":
-        monkeypatch.setattr(solver.np.linalg, "eigvalsh", lambda m: np.array([0.0, nan]))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([0.0, nan]))
     else:
         residuals = (nan, 0.0) if position == "hermitian" else (0.0, nan)
-        monkeypatch.setattr(solver, "_structural_residuals", lambda m, dim_c: residuals)
-    report = mt.q_property_report(q, mt.global_dimension(golden))
+        monkeypatch.setattr(helpers, "q_structural_residuals", lambda m, dim_c: residuals)
+    report = q_property_report(q, mt.global_dimension(golden))
     assert report.passed is False
 
 
 def test_q_properties_fibonacci():
     ring, golden, _, reg = fib_setup()
     q = mt.dimension_matrix(golden, reg)
-    report = mt.q_property_report(q, mt.global_dimension(golden))
+    report = q_property_report(q, mt.global_dimension(golden))
     assert report.passed
     assert report.residual_square < 1e-9
     assert report.residual_hermitian < 1e-9
@@ -230,7 +242,7 @@ def test_q_properties_zero_matrix():
     table, ring, _, sign = z2_setup()
     single = mt.vect_g_module(table, (0, 1))
     q = mt.dimension_matrix(sign, single)
-    report = mt.q_property_report(q, 2.0)
+    report = q_property_report(q, 2.0)
     assert report.passed  # 0^2 = 2 * 0 and all eigenvalues are 0
 
 
@@ -241,7 +253,7 @@ def test_q_properties_ising_rank_one():
     expected = np.array([[1, 1, ROOT2], [1, 1, ROOT2], [ROOT2, ROOT2, 2]])
     assert np.allclose(q, expected, atol=1e-12)
     assert np.allclose(q @ q, 4 * q, atol=1e-12)
-    assert mt.q_property_report(q, 4.0).passed
+    assert q_property_report(q, 4.0).passed
 
 
 def test_solve_z2_single_object_unmatched():
@@ -574,11 +586,66 @@ def test_lazy_residuals_equal_the_eager_formulas_on_universe():
     assert count > 900
 
 
-def test_verdict_path_computes_no_check_residual(monkeypatch):
-    def refuse(m, dim_c):
-        raise AssertionError("check residual computed")
+def test_deferred_rank_test_keeps_the_quadratic_scale():
+    # at tol = max_minor / s**1.5 the minors are negligible at s**2 but not at s, so a
+    # zero-entry verdict with rank 2 lists "rank exceeds 1" only if read at the wrong scale
+    checked = 0
+    for label, ring, char, rep in instance_universe(max_zn=6):
+        cert = mt.solve_module_trace(ring, char, rep)
+        if cert.matched or cert.scale < 1.5 or cert.max_minor < 1.0:
+            continue
+        tol = cert.max_minor / cert.scale**1.5
+        loose = mt.solve_module_trace(ring, char, rep, tol)
+        assert "max_minor" not in vars(loose), label
+        expected = ("zero entry in Q",)
+        if cert.Q.diagonal().real.max() <= tol * cert.scale:
+            expected += ("zero diagonal",)
+        assert loose.diagnostics == expected, label
+        checked += 1
+    assert checked > 20
 
-    monkeypatch.setattr(solver, "_structural_residuals", refuse)
+
+def _z4_deferred():
+    table = mt.cyclic_table(4)
+    order_four = mt.group_characters(table)[1]
+    assert order_four.d[1] == 1j
+    return mt.solve_module_trace(
+        mt.group_ring(table), order_four, mt.vect_g_module(table, (0, 2))
+    )
+
+
+def test_deferred_certificate_fills_its_rank_test_on_first_read():
+    cert = _z4_deferred()
+    assert not cert.matched and cert.trace is None
+    assert "max_minor" not in vars(cert) and "diagnostics" not in vars(cert)
+    diagnostics = cert.diagnostics
+    assert diagnostics == ("zero entry in Q", "zero diagonal")
+    assert vars(cert)["max_minor"] == 0.0 and vars(cert)["diagnostics"] is diagnostics
+    max_minor = cert.max_minor
+    assert cert.max_minor is max_minor and cert.diagnostics is diagnostics
+    with pytest.raises(AttributeError, match="no_such_field"):
+        cert.no_such_field
+
+
+def test_deferred_certificate_is_a_frozen_dataclass():
+    assert "max_minor=0.0" in repr(_z4_deferred())
+    assert "diagnostics=('zero entry in Q', 'zero diagonal')" in repr(_z4_deferred())
+
+    cert = _z4_deferred()
+    copy = dataclasses.replace(cert, tol=0.5)
+    assert copy.tol == 0.5 and (copy.max_minor, copy.diagnostics) == (cert.max_minor, cert.diagnostics)
+
+    cert = _z4_deferred()
+    for name in ("max_minor", "diagnostics", "matched"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cert, name, None)
+    assert "max_minor" not in vars(cert)
+    assert cert.to_dict()["diagnostics"] == ["zero entry in Q", "zero diagonal"]
+
+
+def test_verdict_path_computes_no_check_residual():
+    # only TraceCertificate.residuals computes the check residuals, and it keeps them in
+    # __dict__; a zero-entry verdict keeps its rank test there too, on its first read
     fib, golden, _, fib_reg = fib_setup()
     table, z2, _, sign = z2_setup()
     pairs = [(fib, golden, fib_reg, True), (z2, sign, mt.vect_g_module(table, (0, 1)), False)]
@@ -586,15 +653,16 @@ def test_verdict_path_computes_no_check_residual(monkeypatch):
         cert = mt.solve_module_trace(ring, char, rep)
         assert cert.matched is matched
         assert (cert.trace is not None) is matched and cert.dim_c > 0 and isinstance(cert.c, complex)
-        assert cert.diagnostics == (() if matched else ("zero entry in Q", "zero diagonal"))
         assert mt.frobenius_report(ring, char, rep, 0, cert).positivity_ok is matched
         if matched:
             assert mt.morita_rescale_check(ring, char, rep, 0, cert).ok
         else:
             with pytest.raises(mt.PreconditionError):
                 mt.morita_rescale_check(ring, char, rep, 0, cert)
-        with pytest.raises(AssertionError, match="check residual computed"):
-            cert.residuals
+        assert "_residuals" not in vars(cert)
+        assert ("max_minor" in vars(cert), "diagnostics" in vars(cert)) == (matched, matched)
+        assert cert.diagnostics == (() if matched else ("zero entry in Q", "zero diagonal"))
+        assert cert.residuals is vars(cert)["_residuals"]
 
 
 def test_rank_from_trace_agrees_with_verdict_on_universe():
