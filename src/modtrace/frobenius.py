@@ -87,9 +87,10 @@ def frobenius_report(
 ) -> FrobeniusReport:
     """Frobenius data of ``<m, m>`` on an indecomposable module.
 
-    ``dim(A) = Q[m][m]`` and haploidity (unit multiplicity one) holds by the
-    unit axiom; positivity of ``dim(A)`` is exactly the trace-existence
-    obstruction visible on the diagonal; a ``dim(A)`` negligible at scale ``max|Q|`` reads 0.
+    ``dim(A) = Q[m][m]``, and haploidity (unit multiplicity one, at the unit
+    of ``rep.ring``) holds by the unit axiom; positivity of ``dim(A)`` is exactly
+    the trace-existence obstruction visible on the diagonal; a ``dim(A)``
+    negligible at scale ``max|Q|`` reads 0.
     The certificate must be ``rep``'s: a ``Q`` that is not ``k x k`` raises ``StructuralError``.
     """
     if not is_indecomposable(rep):
@@ -97,7 +98,7 @@ def frobenius_report(
     mults = inner_hom_multiplicities(rep, m, m)
     q_mm = _module_q(rep, certificate).item(m, m)
     dim_a = 0.0 if negligible(abs(q_mm), certificate.scale, certificate.tol) else q_mm.real
-    return FrobeniusReport(m, mults, dim_a, mults.item(ring.unit) == 1, dim_a > 0.0)
+    return FrobeniusReport(m, mults, dim_a, mults.item(rep.ring.unit) == 1, dim_a > 0.0)
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -302,10 +302,14 @@ def perron_vector(mat: np.ndarray) -> tuple[float, np.ndarray]:
 def fp_dimensions(ring: FusionRing) -> np.ndarray:
     """Frobenius-Perron dimension of every simple class.
 
-    The Perron vector of ``sum_a N_a`` is a simultaneous eigenvector of all
-    left-multiplication matrices; the dimension of ``a`` is read off as the
-    eigenvalue ``(N_a v)_k / v_k`` at the largest component ``k``.
+    On a ring with a :func:`pointed_table` every simple is invertible, so every
+    dimension is exactly 1.  Otherwise the Perron vector of ``sum_a N_a`` is a
+    simultaneous eigenvector of all left-multiplication matrices; the dimension
+    of ``a`` is read off as the eigenvalue ``(N_a v)_k / v_k`` at the largest
+    component ``k``.
     """
+    if pointed_table(ring) is not None:
+        return np.ones(ring.rank)
     mats = fusion_matrices(ring)
     _, v = perron_vector(mats.sum(axis=0).astype(float))
     k = int(np.argmax(v))

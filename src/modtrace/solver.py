@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -89,10 +90,11 @@ class ModuleTrace:
 class TraceCertificate:
     """Outcome of the module-trace existence test for one (char, rep) pair.
 
-    The fields are what the verdict and the trace vector read; the identities
-    the verdict implies are reported by :attr:`residuals`, computed on first read,
-    and :attr:`spherical_by_c` is computed on each read.  When a zero entry decided the
-    verdict, ``max_minor`` and ``diagnostics`` are computed on first read and kept in ``__dict__``.
+    The eight fields are the values the verdict read.  ``max_minor``,
+    ``diagnostics`` and ``residuals`` are derived from them on first read and
+    kept in ``__dict__`` (the solve stores the first two when it has computed
+    them), and :attr:`spherical_by_c` is computed on each read.  So a copy made
+    by ``dataclasses.replace`` derives them from its own fields.
     """
 
     matched: bool
@@ -100,60 +102,60 @@ class TraceCertificate:
     trace: ModuleTrace | None
     dim_c: float
     c: complex
-    diagnostics: tuple[str, ...]
-    max_minor: float  #: largest 2x2 minor through the pivot at the largest entry of ``|Q|``
     min_entry: float  #: smallest entry of ``|Q|``
     scale: float  #: ``max|Q|``, the scale of every verdict on ``Q``
     tol: float  #: the tolerance of the verdict; not emitted by :meth:`to_dict`
 
-    def __init__(self, matched, Q, trace, dim_c, c, diagnostics, max_minor, min_entry, scale, tol):
+    def __init__(self, matched, Q, trace, dim_c, c, min_entry, scale, tol):
         # one dict update instead of the frozen dataclass's setattr per field
         self.__dict__.update({
             "matched": matched, "Q": Q, "trace": trace, "dim_c": dim_c, "c": c,
-            "diagnostics": diagnostics, "max_minor": max_minor, "min_entry": min_entry,
-            "scale": scale, "tol": tol,
+            "min_entry": min_entry, "scale": scale, "tol": tol,
         })
 
-    def __getattr__(self, name: str):
-        # reached only when a field is missing: the deferred pair of a zero-entry verdict
-        if name not in ("max_minor", "diagnostics"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def max_minor(self) -> float:
+        """Largest 2x2 minor through the pivot at the largest entry of ``|Q|``."""
+        return _max_minor(self.Q, int(np.abs(self.Q).argmax()))
+
+    @cached_property
+    def diagnostics(self) -> tuple[str, ...]:
+        """Every test that fails, in this order: the rank, a zero entry, a zero diagonal."""
         m, scale, tol = self.Q, self.scale, self.tol
-        max_minor, diagnostics, _ = _rank_test(
-            m, int(np.abs(m).argmax()), scale, tol, negligible(self.min_entry, scale, tol)
-        )
-        self.__dict__.update({"max_minor": max_minor, "diagnostics": diagnostics})
-        return self.__dict__[name]
+        diagnostics = () if negligible(self.max_minor, scale * scale, tol) else ("rank exceeds 1",)
+        if negligible(self.min_entry, scale, tol):
+            diagnostics += ("zero entry in Q",)
+        diagonal = m.real.diagonal()
+        if negligible(diagonal.item(diagonal.argmax()), scale, tol):
+            diagnostics += ("zero diagonal",)
+        return diagnostics
 
     @property
     def spherical_by_c(self) -> bool:
         """``C = dim(C)``, by :func:`~modtrace.common.negligible` at scale ``dim(C)``."""
         return negligible(abs(self.c - self.dim_c), self.dim_c, self.tol)
 
-    @property
+    @cached_property
     def residuals(self) -> dict:
-        """Check residuals by name; computed on first read, once per certificate.
+        """Check residuals by name.
 
         ``hermitian`` is ``max|Q - Q^dagger|`` and ``q_square`` is
         ``max|Q^2 - dim(C) Q|``; a matched certificate adds ``right_eigen``
         (``max|Q d - dim(C) d|``), ``left_eigen`` (``max|Q^T d - C d|``) and
         ``reconstruction`` (``max|Q - d d^dagger|``) of its trace vector ``d``.
         """
-        residuals = self.__dict__.get("_residuals")
-        if residuals is None:
-            m, dim_c = self.Q, self.dim_c
-            residuals = {
-                "hermitian": float(np.abs(m - m.conj().T).max()),
-                "q_square": float(np.abs(m @ m - dim_c * m).max()),
-                "max_minor": self.max_minor,
-                "min_entry": self.min_entry,
-            }
-            if self.trace is not None:
-                d = self.trace.d
-                residuals["right_eigen"] = float(np.abs(m @ d - dim_c * d).max())
-                residuals["left_eigen"] = float(np.abs(m.T @ d - self.c * d).max())
-                residuals["reconstruction"] = float(np.abs(m - d[:, None] * d.conj()[None, :]).max())
-            self.__dict__["_residuals"] = residuals
+        m, dim_c = self.Q, self.dim_c
+        residuals = {
+            "hermitian": float(np.abs(m - m.conj().T).max()),
+            "q_square": float(np.abs(m @ m - dim_c * m).max()),
+            "max_minor": self.max_minor,
+            "min_entry": self.min_entry,
+        }
+        if self.trace is not None:
+            d = self.trace.d
+            residuals["right_eigen"] = float(np.abs(m @ d - dim_c * d).max())
+            residuals["left_eigen"] = float(np.abs(m.T @ d - self.c * d).max())
+            residuals["reconstruction"] = float(np.abs(m - d[:, None] * d.conj()[None, :]).max())
         return residuals
 
     def to_dict(self) -> dict:
@@ -171,12 +173,8 @@ class TraceCertificate:
         return out
 
 
-def _rank_test(m: np.ndarray, top: int, scale: float, tol: float, zero_entry: bool) -> tuple:
-    """``max_minor``, the diagnostics and the anchor of ``Q``, pivoted at ``top = argmax|Q|``.
-
-    The diagnostics list, in this order, every test that fails: the rank test,
-    the zero entry (``zero_entry``, decided by the caller) and the zero diagonal.
-    """
+def _max_minor(m: np.ndarray, top: int) -> float:
+    """The largest 2x2 minor of ``Q`` through the pivot ``top = argmax|Q|``."""
     # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
     # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s].  Extremes are read
     # at their arg-index: cheaper than a reduction on small arrays, and equal to it.
@@ -184,15 +182,7 @@ def _rank_test(m: np.ndarray, top: int, scale: float, tol: float, zero_entry: bo
     minors = m.item(top) * m
     minors -= m[:, s, None] * m[r]
     minors = np.abs(minors)
-    max_minor = minors.item(minors.argmax())
-    diagnostics = ("rank exceeds 1",) if not negligible(max_minor, scale * scale, tol) else ()
-    if zero_entry:
-        diagnostics += ("zero entry in Q",)
-    diagonal = m.real.diagonal()
-    p = int(diagonal.argmax())
-    if negligible(diagonal.item(p), scale, tol):
-        diagnostics += ("zero diagonal",)
-    return max_minor, diagnostics, p
+    return minors.item(minors.argmax())
 
 
 def solve_module_trace(
@@ -203,20 +193,20 @@ def solve_module_trace(
     ``matched`` is true iff ``Q`` has rank at most 1 and every entry of ``Q``
     is nonzero, by :func:`~modtrace.common.negligible` at scale ``max|Q|``
     (``max|Q|**2`` for the minors, which are quadratic in ``Q``).  The
-    smallest entry is tested first: a zero entry decides the verdict, and the
-    certificate then computes ``max_minor`` and ``diagnostics`` on their first
-    read.  Otherwise the O(k^2) rank test runs here: with the pivot ``(r, s)``
-    at the largest entry of ``|Q|``, ``max_minor`` is the largest 2x2 minor
-    through the pivot, ``max_ab |Q[r][s] Q[a][b] - Q[a][s] Q[r][b]|``, which
-    vanishes exactly when the rank is at most 1 (it is 0 for ``Q = 0``).  For
-    the positive semidefinite ``Q`` of valid inputs the pivot is the anchor below.
+    smallest entry is tested first: a zero entry decides the verdict.
+    Otherwise the O(k^2) rank test runs here: with the pivot ``(r, s)`` at the
+    largest entry of ``|Q|``, ``max_minor`` is the largest 2x2 minor through
+    the pivot, ``max_ab |Q[r][s] Q[a][b] - Q[a][s] Q[r][b]|``, which vanishes
+    exactly when the rank is at most 1 (it is 0 for ``Q = 0``).  For the
+    positive semidefinite ``Q`` of valid inputs the pivot is the anchor below.
 
     When matched, the vector is recovered from the anchor column:
     ``d_M[i] = Q[i][p] / sqrt(Q[p][p])`` at the largest diagonal entry ``p``,
     giving ``sum |d_M|^2 = trace(Q) = dim(C)`` and ``d_M[p] > 0``.  The
     solver makes that freshly computed column read-only and hands it to
-    :class:`ModuleTrace` as is, without a copy.  Nothing else is computed
-    here; the certificate's check residuals and ``spherical_by_c`` wait for their read.
+    :class:`ModuleTrace` as is, without a copy.  The certificate keeps the
+    ``max_minor`` computed here, and the empty ``diagnostics`` of a match;
+    everything else it explains is derived from its fields on first read.
     """
     if rep.ring is not ring and rep.ring != ring:
         raise StructuralError("ring references of character and module disagree")
@@ -226,22 +216,22 @@ def solve_module_trace(
     scale, min_entry = mag.item(top), mag.item(mag.argmin())
     dim_c, c = global_dimension(char), c_invariant(char)
     if negligible(min_entry, scale, tol):
-        # built without max_minor and diagnostics, which TraceCertificate.__getattr__ fills
-        cert = TraceCertificate.__new__(TraceCertificate)
-        cert.__dict__.update({
-            "matched": False, "Q": m, "trace": None, "dim_c": dim_c, "c": c,
-            "min_entry": min_entry, "scale": scale, "tol": tol,
-        })
-        return cert
-    max_minor, diagnostics, p = _rank_test(m, top, scale, tol, False)
+        return TraceCertificate(False, m, None, dim_c, c, min_entry, scale, tol)
+    max_minor = _max_minor(m, top)
     trace = None
-    if not diagnostics:
-        d = m[:, p] / math.sqrt(m.item(p, p).real)
-        d.setflags(write=False)
-        trace = ModuleTrace(d, p)
-    return TraceCertificate(
-        trace is not None, m, trace, dim_c, c, diagnostics, max_minor, min_entry, scale, tol
-    )
+    if negligible(max_minor, scale * scale, tol):
+        diagonal = m.real.diagonal()
+        p = int(diagonal.argmax())
+        q_pp = diagonal.item(p)
+        if not negligible(q_pp, scale, tol):
+            d = m[:, p] / math.sqrt(q_pp)
+            d.setflags(write=False)
+            trace = ModuleTrace(d, p)
+    cert = TraceCertificate(trace is not None, m, trace, dim_c, c, min_entry, scale, tol)
+    cert.__dict__["max_minor"] = max_minor
+    if trace is not None:
+        cert.__dict__["diagnostics"] = ()
+    return cert
 
 
 #: Bound of :func:`fp_module_trace` on each Perron eigenvector residual, relative to

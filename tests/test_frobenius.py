@@ -75,6 +75,21 @@ def test_frobenius_report_group_algebra():
     assert not report2.positivity_ok and not cert2.matched
 
 
+def test_frobenius_report_reads_the_unit_of_the_module_ring():
+    # the same fibonacci ring with its simples listed in the other order has unit index 1;
+    # haploidity is read at the unit of rep.ring, whatever ring is passed beside it
+    ring, chars = mt.builtin("fibonacci")
+    rep = mt.regular_module(ring)
+    cert = mt.solve_module_trace(ring, chars[0], rep)
+    swap = np.array([1, 0])
+    relisted = mt.FusionRing(2, ring.labels[::-1], 1, swap[ring.dual[swap]], ring.N[np.ix_(swap, swap, swap)])
+    assert mt.validate_fusion_ring(relisted).valid
+    own = mt.frobenius_report(ring, chars[0], rep, 0, cert)
+    other = mt.frobenius_report(relisted, chars[0], rep, 0, cert)
+    assert own.haploid and other.haploid
+    assert other.to_dict() == own.to_dict()
+
+
 def test_frobenius_requires_indecomposable():
     ring = mt.builtin("fibonacci")[0]
     char = mt.DimChar(ring, [1.0, PHI])

@@ -95,7 +95,7 @@ def test_matrix_algebra_exact(name):
 def test_fp_dimensions_group_ring_all_ones():
     for n in (1, 2, 3, 7):
         ring = mt.group_ring(mt.cyclic_table(n))
-        assert np.allclose(mt.fp_dimensions(ring), np.ones(n), atol=1e-12)
+        assert np.array_equal(mt.fp_dimensions(ring), np.ones(n))  # exact: every simple is invertible
 
 
 def test_fp_dimensions_fibonacci():

@@ -77,7 +77,7 @@ def test_group_ring_z2_z3():
     for n in (2, 3):
         ring = mt.group_ring(mt.cyclic_table(n))
         assert mt.validate_fusion_ring(ring).valid
-        assert np.allclose(mt.fp_dimensions(ring), np.ones(n), atol=1e-12)
+        assert np.array_equal(mt.fp_dimensions(ring), np.ones(n))
         for mat in mt.fusion_matrices(ring):
             assert np.array_equal(mat.sum(axis=0), np.ones(n, dtype=int))
 
