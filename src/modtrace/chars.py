@@ -27,6 +27,7 @@ from .common import (
     Violation,
     close,
     collect_violations,
+    readonly_setstate,
 )
 from .fusion import FusionRing, fp_dimensions, fusion_matrices, pointed_table
 
@@ -54,6 +55,8 @@ class DimChar:
             )
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
+
+    __setstate__ = readonly_setstate
 
 
 def _axiom_checks(ring: FusionRing, rows: np.ndarray, tol: float, per_block: int):

@@ -59,6 +59,21 @@ def require_float_exact(bound: int, what: str) -> None:
         raise StructuralError(f"{what} too large for exact validation (bound {bound} >= 2^53)")
 
 
+def readonly_setstate(self, state: dict) -> None:
+    """The ``__setstate__`` of a frozen record: restore ``state`` with its arrays read-only.
+
+    Pickle keeps an array's data but not its flags, so an unpickled array is
+    writable; each writable array value of ``state`` is kept as a read-only
+    view, which leaves the array itself (a ``copy.copy`` shares it) as it was.
+    """
+    restored = self.__dict__
+    for key, value in state.items():
+        if isinstance(value, np.ndarray) and value.flags.writeable:
+            value = value.view()
+            value.flags.writeable = False
+        restored[key] = value
+
+
 def complex_pair(z: complex) -> list[float]:
     """``[re, im]``, the JSON form of a complex number."""
     return [float(z.real), float(z.imag)]

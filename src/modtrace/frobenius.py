@@ -21,6 +21,7 @@ from .common import (
     UnsupportedError,
     complex_pair,
     negligible,
+    readonly_setstate,
 )
 from .chars import DimChar
 from .fusion import FusionRing
@@ -65,6 +66,8 @@ class FrobeniusReport:
             "object_index": object_index, "multiplicities": multiplicities, "dim_a": dim_a,
             "haploid": haploid, "positivity_ok": positivity_ok,
         })
+
+    __setstate__ = readonly_setstate
 
     def to_dict(self) -> dict:
         return {

@@ -21,6 +21,7 @@ from .common import (
     ValidationReport,
     Violation,
     collect_violations,
+    readonly_setstate,
     require_float_exact,
 )
 
@@ -86,6 +87,8 @@ class FusionRing:
             raise StructuralError("structure constants must be non-negative")
         N.flags.writeable = False
         object.__setattr__(self, "N", N)
+
+    __setstate__ = readonly_setstate
 
     def to_dict(self) -> dict:
         return {

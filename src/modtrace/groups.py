@@ -26,6 +26,7 @@ from .common import (
     DEFAULT_TOL,
     StructuralError,
     UnsupportedError,
+    readonly_setstate,
 )
 from .chars import DimChar, _pointed_characters
 from .fusion import FusionRing, _composes, _group_ring, _int_array
@@ -77,6 +78,12 @@ class GroupTable:
             if len(labels) != g:
                 raise StructuralError("label count does not match order")
             object.__setattr__(self, "labels", labels)
+
+    def __getstate__(self) -> dict:
+        # pickle refuses the weak reference of the group_ring memo; group_ring rebuilds it
+        return {key: value for key, value in self.__dict__.items() if key != "_ring"}
+
+    __setstate__ = readonly_setstate
 
     def label(self, a: int) -> str:
         if self.labels is not None:

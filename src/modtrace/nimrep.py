@@ -20,6 +20,7 @@ from .common import (
     ValidationReport,
     Violation,
     collect_violations,
+    readonly_setstate,
     require_float_exact,
 )
 from .fusion import FusionRing, _composes, _int_array, fusion_matrices, pointed_table
@@ -43,6 +44,8 @@ class NimRep:
             raise StructuralError("multiplicities must be non-negative")
         m.flags.writeable = False
         object.__setattr__(self, "M", m)
+
+    __setstate__ = readonly_setstate
 
     def action_sum(self) -> np.ndarray:
         """``sum_u M_u``; symmetric for valid reps."""

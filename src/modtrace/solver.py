@@ -30,6 +30,7 @@ from .common import (
     UnsupportedError,
     complex_pair,
     negligible,
+    readonly_setstate,
 )
 from .chars import DimChar, c_invariant, global_dimension
 from .fusion import FusionRing, fp_dimensions, perron_vector
@@ -85,16 +86,18 @@ class ModuleTrace:
             d.setflags(write=False)
         self.__dict__.update({"d": d, "anchor": anchor})
 
+    __setstate__ = readonly_setstate
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class TraceCertificate:
     """Outcome of the module-trace existence test for one (char, rep) pair.
 
-    The eight fields are the values the verdict read.  ``max_minor``,
-    ``diagnostics`` and ``residuals`` are derived from them on first read and
-    kept in ``__dict__`` (the solve stores the first two when it has computed
-    them), and :attr:`spherical_by_c` is computed on each read.  So a copy made
-    by ``dataclasses.replace`` derives them from its own fields.
+    The six fields are the values the verdict read.  ``scale``, ``min_entry``,
+    ``max_minor``, ``diagnostics`` and ``residuals`` are derived from them on
+    first read and kept in ``__dict__`` (the solve stores those it has
+    computed), and :attr:`spherical_by_c` is computed on each read.  So a copy
+    made by ``dataclasses.replace`` derives them from its own fields.
     """
 
     matched: bool
@@ -102,16 +105,27 @@ class TraceCertificate:
     trace: ModuleTrace | None
     dim_c: float
     c: complex
-    min_entry: float  #: smallest entry of ``|Q|``
-    scale: float  #: ``max|Q|``, the scale of every verdict on ``Q``
     tol: float  #: the tolerance of the verdict; not emitted by :meth:`to_dict`
 
-    def __init__(self, matched, Q, trace, dim_c, c, min_entry, scale, tol):
+    def __init__(self, matched, Q, trace, dim_c, c, tol):
         # one dict update instead of the frozen dataclass's setattr per field
         self.__dict__.update({
-            "matched": matched, "Q": Q, "trace": trace, "dim_c": dim_c, "c": c,
-            "min_entry": min_entry, "scale": scale, "tol": tol,
+            "matched": matched, "Q": Q, "trace": trace, "dim_c": dim_c, "c": c, "tol": tol,
         })
+
+    __setstate__ = readonly_setstate
+
+    @cached_property
+    def scale(self) -> float:
+        """``max|Q|``, the scale of every verdict on ``Q``."""
+        mag = np.abs(self.Q)
+        return mag.item(mag.argmax())
+
+    @cached_property
+    def min_entry(self) -> float:
+        """Smallest entry of ``|Q|``."""
+        mag = np.abs(self.Q)
+        return mag.item(mag.argmin())
 
     @cached_property
     def max_minor(self) -> float:
@@ -192,31 +206,42 @@ def solve_module_trace(
 
     ``matched`` is true iff ``Q`` has rank at most 1 and every entry of ``Q``
     is nonzero, by :func:`~modtrace.common.negligible` at scale ``max|Q|``
-    (``max|Q|**2`` for the minors, which are quadratic in ``Q``).  The
-    smallest entry is tested first: a zero entry decides the verdict.
-    Otherwise the O(k^2) rank test runs here: with the pivot ``(r, s)`` at the
-    largest entry of ``|Q|``, ``max_minor`` is the largest 2x2 minor through
-    the pivot, ``max_ab |Q[r][s] Q[a][b] - Q[a][s] Q[r][b]|``, which vanishes
-    exactly when the rank is at most 1 (it is 0 for ``Q = 0``).  For the
-    positive semidefinite ``Q`` of valid inputs the pivot is the anchor below.
+    (``max|Q|**2`` for the minors, which are quadratic in ``Q``).  Zero
+    entries are tested first, and a zero entry decides the verdict.
+    ``Q[0][0] = dim <m_0, m_0>`` is read before anything else: when
+    ``|Q[0][0]| <= tol`` the smallest entry is negligible at any scale, so the
+    solve returns before it forms ``|Q|``; otherwise it tests the smallest
+    entry of ``|Q|``.  When no entry is zero the O(k^2) rank test runs here:
+    with the pivot ``(r, s)`` at the largest entry of ``|Q|``, ``max_minor``
+    is the largest 2x2 minor through the pivot,
+    ``max_ab |Q[r][s] Q[a][b] - Q[a][s] Q[r][b]|``, which vanishes exactly
+    when the rank is at most 1 (it is 0 for ``Q = 0``).  For the positive
+    semidefinite ``Q`` of valid inputs the pivot is the anchor below.
 
     When matched, the vector is recovered from the anchor column:
     ``d_M[i] = Q[i][p] / sqrt(Q[p][p])`` at the largest diagonal entry ``p``,
     giving ``sum |d_M|^2 = trace(Q) = dim(C)`` and ``d_M[p] > 0``.  The
     solver makes that freshly computed column read-only and hands it to
     :class:`ModuleTrace` as is, without a copy.  The certificate keeps the
-    ``max_minor`` computed here, and the empty ``diagnostics`` of a match;
-    everything else it explains is derived from its fields on first read.
+    ``scale``, ``min_entry`` and ``max_minor`` computed here, and the empty
+    ``diagnostics`` of a match; everything else it explains is derived from
+    its fields on first read.
     """
     if rep.ring is not ring and rep.ring != ring:
         raise StructuralError("ring references of character and module disagree")
     m = dimension_matrix(char, rep)
+    dim_c, c = global_dimension(char), c_invariant(char)
+    if negligible(abs(m.item(0)), 0.0, tol):
+        # min_entry <= |Q[0][0]| <= tol <= tol * max(1, scale): the zero-entry verdict below
+        return TraceCertificate(False, m, None, dim_c, c, tol)
     mag = np.abs(m)
     top = int(mag.argmax())
     scale, min_entry = mag.item(top), mag.item(mag.argmin())
-    dim_c, c = global_dimension(char), c_invariant(char)
     if negligible(min_entry, scale, tol):
-        return TraceCertificate(False, m, None, dim_c, c, min_entry, scale, tol)
+        cert = TraceCertificate(False, m, None, dim_c, c, tol)
+        found = cert.__dict__
+        found["scale"], found["min_entry"] = scale, min_entry
+        return cert
     max_minor = _max_minor(m, top)
     trace = None
     if negligible(max_minor, scale * scale, tol):
@@ -227,10 +252,12 @@ def solve_module_trace(
             d = m[:, p] / math.sqrt(q_pp)
             d.setflags(write=False)
             trace = ModuleTrace(d, p)
-    cert = TraceCertificate(trace is not None, m, trace, dim_c, c, min_entry, scale, tol)
-    cert.__dict__["max_minor"] = max_minor
+    cert = TraceCertificate(trace is not None, m, trace, dim_c, c, tol)
+    # item stores: cheaper than a dict update on the matched path
+    found = cert.__dict__
+    found["scale"], found["min_entry"], found["max_minor"] = scale, min_entry, max_minor
     if trace is not None:
-        cert.__dict__["diagnostics"] = ()
+        found["diagnostics"] = ()
     return cert
 
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import pickle
 import weakref
 
 import numpy as np
@@ -98,6 +99,17 @@ def test_group_ring_is_shared_per_table():
     gc.collect()
     assert gone() is None
     assert mt.group_ring(table) == mt.group_ring(mt.cyclic_table(6))
+
+
+def test_group_table_pickles_after_its_ring_is_built():
+    # the ring memo is a weak reference, which pickle refuses; it is left out and rebuilt
+    table = mt.cyclic_table(6)
+    ring = mt.group_ring(table)
+    twin = pickle.loads(pickle.dumps(table))
+    assert twin == table and "_ring" not in vars(twin)
+    assert not twin.mul.flags.writeable and not twin.inverse.flags.writeable
+    assert mt.group_ring(twin) == ring and mt.group_ring(twin) is mt.group_ring(twin)
+    assert mt.group_ring(table) is ring
 
 
 def test_direct_product_table_by_definition():

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import struct
@@ -638,7 +639,7 @@ def test_deferred_certificate_fills_its_rank_test_on_first_read():
 def test_deferred_certificate_is_a_frozen_dataclass():
     cert = _z4_deferred()
     assert repr(cert).startswith("TraceCertificate(matched=False, Q=array(")
-    assert repr(cert).endswith(f"min_entry=0.0, scale=0.0, tol={cert.tol!r})")
+    assert repr(cert).endswith(f"c={cert.c!r}, tol={cert.tol!r})")
 
     cert = _z4_deferred()
     copy = dataclasses.replace(cert, tol=0.5)
@@ -652,7 +653,7 @@ def test_deferred_certificate_is_a_frozen_dataclass():
     assert cert.to_dict()["diagnostics"] == ["zero entry in Q", "zero diagonal"]
 
 
-_FIELDS = ("matched", "Q", "trace", "dim_c", "c", "min_entry", "scale", "tol")
+_FIELDS = ("matched", "Q", "trace", "dim_c", "c", "tol")
 
 
 def _one_path_certificates():
@@ -672,12 +673,14 @@ def _derived_bits(cert) -> tuple:
     return struct.pack("<d", cert.max_minor), cert.diagnostics, residuals
 
 
-def test_certificate_has_eight_fields_and_derives_the_rest():
+def test_certificate_has_six_fields_and_derives_the_rest():
     assert tuple(f.name for f in dataclasses.fields(mt.TraceCertificate)) == _FIELDS
-    stored = {"zero entry": set(), "rank two": {"max_minor"}, "matched": {"max_minor", "diagnostics"}}
+    full = {"scale", "min_entry", "max_minor"}
+    stored = {"zero entry": set(), "rank two": full, "matched": full | {"diagnostics"}}
     for label, build in _one_path_certificates():
         cert = build()
-        # the solve stores max_minor once the rank test has run, and diagnostics on a match
+        # a zero Q[0][0] returns at once; the full path stores scale, min_entry and
+        # max_minor, and diagnostics on a match
         assert set(vars(cert)) == set(_FIELDS) | stored[label], label
         assert cert.matched is (label == "matched")
         repr(cert)
@@ -698,6 +701,103 @@ def test_certificate_copies_read_the_same_derived_values():
             expected = _derived_bits(cert)
             for how, twin in copies.items():
                 assert _derived_bits(twin) == expected, (label, read_first, how)
+
+
+def _eager_derived(cert) -> dict:
+    """The derived values and output of a certificate as the solve computed them before a
+    zero ``Q[0][0]`` returned first: read from ``|Q|`` at its ``argmax`` and ``argmin``."""
+    q, tol = cert.Q, cert.tol
+    mag = np.abs(q)
+    top = int(mag.argmax())
+    scale, min_entry = mag.item(top), mag.item(mag.argmin())
+    r, s = divmod(top, q.shape[1])
+    max_minor = np.abs(q[r, s] * q - q[:, s, None] * q[r]).max()
+    diagnostics = () if negligible(max_minor, scale * scale, tol) else ("rank exceeds 1",)
+    if negligible(min_entry, scale, tol):
+        diagnostics += ("zero entry in Q",)
+    if negligible(q.real.diagonal().max(), scale, tol):
+        diagnostics += ("zero diagonal",)
+    residuals = _eager_residuals(cert)
+    out = {
+        "matched": cert.matched,
+        "dimC": cert.dim_c,
+        "C": [cert.c.real, cert.c.imag],
+        "spherical_by_C": negligible(abs(cert.c - cert.dim_c), cert.dim_c, tol),
+    }
+    if cert.trace is not None:
+        out["d"] = [[z.real, z.imag] for z in cert.trace.d.tolist()]
+        out["anchor"] = cert.trace.anchor
+    out["residuals"] = residuals
+    out["diagnostics"] = list(diagnostics)
+    return {
+        "scale": struct.pack("<d", scale),
+        "min_entry": struct.pack("<d", min_entry),
+        "max_minor": struct.pack("<d", max_minor),
+        "diagnostics": diagnostics,
+        "residuals": json.dumps(residuals),
+        "to_dict": json.dumps(out),
+    }
+
+
+def test_early_return_keeps_every_derived_value_bit_for_bit():
+    # a negligible Q[0][0] returns before |Q| is formed; the full path stores what it computed.
+    # Either way every derived value and the output equal their eager definitions
+    early = full_zero = 0
+    for label, ring, char, rep, _ in _oracle_inputs():
+        cert = mt.solve_module_trace(ring, char, rep)
+        returned_early = "scale" not in vars(cert)
+        assert returned_early == negligible(abs(cert.Q[0, 0]), 0.0), label
+        if returned_early:
+            assert set(vars(cert)) == set(_FIELDS), label
+            early += 1
+        elif "max_minor" not in vars(cert):
+            full_zero += 1
+        got = {
+            "to_dict": json.dumps(cert.to_dict()),
+            "scale": struct.pack("<d", cert.scale),
+            "min_entry": struct.pack("<d", cert.min_entry),
+            "max_minor": struct.pack("<d", cert.max_minor),
+            "diagnostics": cert.diagnostics,
+            "residuals": json.dumps(cert.residuals),
+        }
+        assert got == _eager_derived(cert), label
+        assert cert.matched == (cert.diagnostics == ()), label
+    # both zero-entry routes are taken: a zero Q[0][0], and a zero entry elsewhere
+    assert early > 3000 and full_zero > 300
+
+
+def test_nan_at_the_first_entry_takes_the_full_path():
+    # NaN is never negligible, so the early return leaves it to the full test
+    ring, _, _, reg = fib_setup()
+    cert = mt.solve_module_trace(ring, mt.DimChar(ring, [math.nan, 1.0]), reg)
+    assert math.isnan(cert.Q[0, 0].real) and "scale" in vars(cert)
+    assert not cert.matched and cert.trace is None
+
+
+def test_pickled_records_stay_read_only():
+    ring, golden, _, reg = fib_setup()
+    cert = mt.solve_module_trace(ring, golden, reg)
+    solver._q_layout(reg)
+    table = mt.cyclic_table(4)
+    records = [
+        cert, cert.trace, reg, golden, ring, table, mt.group_ring(table),
+        mt.frobenius_report(ring, golden, reg, 1, cert),
+    ]
+    for record in records:
+        for how, twin in (("pickle", pickle.loads(pickle.dumps(record))), ("deepcopy", copy.deepcopy(record))):
+            arrays = {name: a for name, a in vars(twin).items() if isinstance(a, np.ndarray)}
+            assert arrays, (record, how)
+            for name, a in arrays.items():
+                assert not a.flags.writeable, (type(record).__name__, how, name)
+                assert np.array_equal(a, vars(record)[name]), (type(record).__name__, how, name)
+    twin = pickle.loads(pickle.dumps(cert))
+    with pytest.raises(ValueError):
+        twin.Q[0, 0] = 5
+    assert twin.matched and twin.diagnostics == ()
+    # a copy of a hand-built record gets a read-only view and leaves the given array as it was
+    writable = np.eye(2, dtype=complex)
+    shallow = copy.copy(mt.TraceCertificate(False, writable, None, 2.0, 2j, 1e-9))
+    assert not shallow.Q.flags.writeable and writable.flags.writeable
 
 
 def test_verdict_path_computes_no_check_residual():
