@@ -59,6 +59,20 @@ def require_float_exact(bound: int, what: str) -> None:
         raise StructuralError(f"{what} too large for exact validation (bound {bound} >= 2^53)")
 
 
+#: Most bytes one step may allocate for a group or its ring; 16x what ``zn:128`` needs.
+BYTE_BUDGET = 2**28
+
+
+def require_budget(nbytes: int, what: str, *args) -> None:
+    """Refuse, from shapes alone, a step that would allocate more than :data:`BYTE_BUDGET`.
+
+    ``what % args`` names the step in the error; it is formatted only then, as the check runs
+    on every group table.
+    """
+    if nbytes > BYTE_BUDGET:
+        raise UnsupportedError(f"{what % args} needs {nbytes:,} bytes, over the budget of {BYTE_BUDGET:,}")
+
+
 def readonly_setstate(self, state: dict) -> None:
     """The ``__setstate__`` of a frozen record: restore ``state`` with its arrays read-only.
 

@@ -9,6 +9,7 @@ dimensions are floating point.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -22,8 +23,23 @@ from .common import (
     Violation,
     collect_violations,
     readonly_setstate,
+    require_budget,
     require_float_exact,
 )
+
+
+@functools.cache
+def _sha256_constructor():
+    """The SHA-256 constructor of :meth:`FusionRing.content_hash`, looked up once: a failed
+    import searches ``sys.path`` again on every attempt."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 def _int_array(data, name: str, shape: tuple | None = None) -> np.ndarray:
@@ -105,13 +121,16 @@ class FusionRing:
 
     def content_hash(self) -> str:
         """First 12 hex digits of the SHA-256 of ``json.dumps(self.to_dict(), separators=(",", ":"))``,
-        the compact JSON form, byte-built by :func:`_json_text`; computed once per ring."""
+        the compact JSON form, byte-built by :func:`_json_text`; computed once per ring.
+
+        The digest comes from CPython's builtin SHA-256 (``_sha2``, or ``_sha256`` before 3.12),
+        as ``random`` takes its ``_sha512``, and from ``hashlib`` only on a build without one:
+        ``hashlib`` maps OpenSSL, about 3.6 MB of RSS, for this one hash per ring.
+        """
         cached = self.__dict__.get("_hash")
         if cached is None:
-            import hashlib  # here, not at the top: it loads OpenSSL, which only hashing callers need
-
             blob = _json_text(self._fields(), ",", ":")
-            cached = self.__dict__["_hash"] = hashlib.sha256(blob.encode()).hexdigest()[:12]
+            cached = self.__dict__["_hash"] = _sha256_constructor()(blob.encode()).hexdigest()[:12]
         return cached
 
     def is_commutative(self) -> bool:
@@ -172,10 +191,19 @@ def _json_text(data, comma: str, colon: str) -> str:
     return "{" + comma.join(json.dumps(k) + colon + value(v) for k, v in data.items()) + "}"
 
 
+def _composes_bytes(n: int, k: int) -> int:
+    """Bytes of the two ``(n, n, k)`` arrays that :func:`_composes` forms for ``n`` maps of ``k``
+    points, at the itemsize of ``np.min_scalar_type(k - 1)`` (for ``k <= 2**32``), worked out
+    without a numpy call."""
+    return 2 * n * n * k * (1 if k <= 1 << 8 else 2 if k <= 1 << 16 else 4)
+
+
 def _composes(mul: np.ndarray, act: np.ndarray) -> bool:
     """``act[mul[u, v]] == act[u][act[v]]`` for the maps ``act[u]`` of ``k`` points, in O(n^2 k)
     on a copy of ``act`` at 1-2 bytes an entry; ``_composes(mul, mul)`` is associativity."""
-    small = act.astype(np.min_scalar_type(act.shape[1] - 1))
+    n, k = act.shape
+    require_budget(_composes_bytes(n, k), "composing %d maps of %d points", n, k)
+    small = act.astype(np.min_scalar_type(k - 1))
     return np.array_equal(small[mul], np.take(small, small, axis=1))  # [u, v, i]
 
 
@@ -183,6 +211,7 @@ def _group_ring(mul: np.ndarray, labels, unit: int, dual: np.ndarray) -> FusionR
     """The ring of the group with read-only table ``mul``, identity ``unit`` and inverse
     ``dual``, with ``mul`` recorded as its :func:`pointed_table` rather than derived again."""
     g = len(mul)
+    require_budget(8 * g**3, "the ring of a group of order %d", g)
     N = np.zeros((g, g, g), dtype=np.int64)
     N[np.arange(g)[:, None], np.arange(g)[None, :], mul] = 1
     ring = FusionRing(g, labels, unit, dual.copy(), N)

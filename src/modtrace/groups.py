@@ -27,9 +27,10 @@ from .common import (
     StructuralError,
     UnsupportedError,
     readonly_setstate,
+    require_budget,
 )
 from .chars import DimChar, _pointed_characters
-from .fusion import FusionRing, _composes, _group_ring, _int_array
+from .fusion import FusionRing, _composes, _composes_bytes, _group_ring, _int_array
 from .nimrep import NimRep
 
 #: Largest group order accepted by the subgroup enumerator.
@@ -106,6 +107,8 @@ def cyclic_table(n: int) -> GroupTable:
     """The cyclic group of order ``n`` with exponent labels."""
     if n < 1:
         raise StructuralError("cyclic group order must be positive")
+    # the table's associativity check is its largest step
+    require_budget(_composes_bytes(n, n), "the cyclic group of order %d", n)
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     labels = ["e"] + [f"g{k}" if k > 1 else "g" for k in range(1, n)]

@@ -97,7 +97,8 @@ class TraceCertificate:
     ``max_minor``, ``diagnostics`` and ``residuals`` are derived from them on
     first read and kept in ``__dict__`` (the solve stores those it has
     computed), and :attr:`spherical_by_c` is computed on each read.  So a copy
-    made by ``dataclasses.replace`` derives them from its own fields.
+    made by ``dataclasses.replace`` derives them from its own fields.  The
+    first three share one ``|Q|``, formed on the first read of any of them.
     """
 
     matched: bool
@@ -116,21 +117,26 @@ class TraceCertificate:
     __setstate__ = readonly_setstate
 
     @cached_property
+    def _extremes(self) -> tuple[int, float, float]:
+        """``(argmax|Q|, max|Q|, min|Q|)`` from one ``|Q|``, read as the solve reads them."""
+        mag = np.abs(self.Q)
+        top = int(mag.argmax())
+        return top, mag.item(top), mag.item(mag.argmin())
+
+    @cached_property
     def scale(self) -> float:
         """``max|Q|``, the scale of every verdict on ``Q``."""
-        mag = np.abs(self.Q)
-        return mag.item(mag.argmax())
+        return self._extremes[1]
 
     @cached_property
     def min_entry(self) -> float:
         """Smallest entry of ``|Q|``."""
-        mag = np.abs(self.Q)
-        return mag.item(mag.argmin())
+        return self._extremes[2]
 
     @cached_property
     def max_minor(self) -> float:
         """Largest 2x2 minor through the pivot at the largest entry of ``|Q|``."""
-        return _max_minor(self.Q, int(np.abs(self.Q).argmax()))
+        return _max_minor(self.Q, self._extremes[0])
 
     @cached_property
     def diagnostics(self) -> tuple[str, ...]:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,21 @@ def test_nonpositive_cyclic_order_exits_2(order):
     assert invoke("vectg", "--group", f"Z:{order}") == (
         2, "", "error: cyclic group order must be positive\n"
     )
+
+
+@pytest.mark.parametrize("argv", [["builtin", "zn:5000"], ["vectg", "--group", "Z:5000"]])
+def test_oversized_cyclic_order_is_refused_before_allocating(argv):
+    # checking the table's associativity would form two 5000^3 arrays: 500 GB
+    assert invoke("builtin", "zn:2")[0] == 0  # loads the layers, so the peak is the refusal's
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: the cyclic group of order 5000 needs 500,000,000,000 bytes, over the budget of 268,435,456\n"
+    assert peak < 2**20
 
 
 def test_char_index_out_of_range(fib_dir):

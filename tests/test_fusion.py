@@ -1,11 +1,13 @@
 import hashlib
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import modtrace as mt
+from modtrace import fusion
 from helpers import NAMED_RINGS, PHI, ROOT2, fibonacci_broken
 
 
@@ -177,6 +179,21 @@ def test_content_hash_is_computed_once_and_unchanged():
     assert ring.content_hash() is first
     blob = json.dumps(ring.to_dict(), separators=(",", ":"), sort_keys=False)
     assert first == hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def test_content_hash_without_the_builtin_sha256_takes_hashlib(monkeypatch):
+    # a build without CPython's builtin SHA-256 (_sha2 from 3.12, _sha256 before) imports hashlib's
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    oracle, blobs = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda blob: blobs.append(blob) or oracle(blob))
+    fusion._sha256_constructor.cache_clear()
+    try:
+        ring = mt.builtin("zn:12")[0]
+        assert ring.content_hash() == PINNED_HASHES["zn:12"] == oracle(blobs[0]).hexdigest()[:12]
+    finally:
+        fusion._sha256_constructor.cache_clear()
+    assert blobs == [json.dumps(ring.to_dict(), separators=(",", ":")).encode()]
 
 
 def test_unit_law_violation_reported():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import modtrace as mt
-from modtrace import catalog, groups
+from modtrace import catalog, common, groups
 from modtrace.catalog import s3_table
 from modtrace.chars import _eigh_characters
+from modtrace.fusion import _composes_bytes
 from helpers import (
     abelian_tables_up_to,
     coset_matrices_reference,
@@ -212,6 +213,25 @@ def test_subgroups_s3():
 def test_subgroups_bound():
     with pytest.raises(mt.UnsupportedError):
         mt.subgroups(mt.cyclic_table(65))
+
+
+def test_byte_budget_is_checked_at_each_group_step(monkeypatch):
+    # Z:16 composes two 16^3 arrays of 1 byte (8,192 bytes) and its ring is a 16^3 int64 tensor
+    # (32,768 bytes); a budget between the two admits the table and refuses the ring
+    mul = mt.cyclic_table(16).mul
+    monkeypatch.setattr(common, "BYTE_BUDGET", 8_191)
+    with pytest.raises(mt.UnsupportedError, match="the cyclic group of order 16 needs 8,192 bytes"):
+        mt.cyclic_table(16)
+    with pytest.raises(mt.UnsupportedError, match="composing 16 maps of 16 points needs 8,192 bytes"):
+        mt.GroupTable(16, mul)
+    monkeypatch.setattr(common, "BYTE_BUDGET", 8_192)
+    table = mt.cyclic_table(16)
+    with pytest.raises(mt.UnsupportedError, match="the ring of a group of order 16 needs 32,768 bytes"):
+        mt.group_ring(table)
+    monkeypatch.setattr(common, "BYTE_BUDGET", 32_768)
+    assert mt.group_ring(table).rank == 16
+    for k in (1, 2, 256, 257, 65_536, 65_537, 2**32):
+        assert _composes_bytes(1, k) == 2 * k * np.min_scalar_type(k - 1).itemsize, k
 
 
 def _reference_tables():

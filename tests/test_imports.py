@@ -72,8 +72,9 @@ def test_each_verb_loads_only_its_layers(verbs, absent, emitted, tmp_path):
 
 
 def test_solve_path_loads_no_numpy_random_and_no_hashlib(emitted):
-    # numpy.random loads secrets -> hmac -> hashlib -> OpenSSL; only hashing callers need hashlib
-    pinned = ["numpy.random", "hashlib"]
+    # numpy.random loads secrets -> hmac -> hashlib -> OpenSSL; the ring hash takes CPython's
+    # builtin SHA-256, so no verb needs hashlib, even one that hashes a ring
+    pinned = ["numpy.random", "hashlib", "_hashlib"]
     if _loaded_after("import numpy", pinned):
         pytest.skip("this numpy loads numpy.random on import")
     solve = """
@@ -83,9 +84,11 @@ assert len(chars) == 12
 assert modtrace.solve_module_trace(ring, chars[1], modtrace.regular_module(ring)).matched
 """
     assert _loaded_after(solve, pinned) == []
-    validate = ["validate", str(emitted / "ring.json")]
-    body = f"import io\nfrom modtrace import cli\nassert cli.run({validate!r}, out=io.StringIO()) == 0\n"
-    assert _loaded_after(body, pinned) == ["hashlib"]
+    ring, module, char = (str(emitted / name) for name in ("ring.json", "module-regular.json", "char-00.json"))
+    hashing = [["validate", ring], ["trace", ring, "--char", char, "--module", module], ["builtin", "zn:12"]]
+    for argv in hashing:
+        body = f"import io\nfrom modtrace import cli\nassert cli.run({argv!r}, out=io.StringIO()) == 0\n"
+        assert _loaded_after(body, pinned + ["_sha2", "_sha256"]) in (["_sha2"], ["_sha256"]), argv
 
 
 def test_every_public_name_is_its_layers_object():

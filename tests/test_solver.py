@@ -766,6 +766,23 @@ def test_early_return_keeps_every_derived_value_bit_for_bit():
     assert early > 3000 and full_zero > 300
 
 
+def test_first_read_forms_abs_q_at_most_once(monkeypatch):
+    # scale, min_entry and the pivot of max_minor share one |Q|; the full path stores the
+    # first two, and a match all three
+    ring, golden, _, reg = fib_setup()
+    builds = _one_path_certificates() + [
+        ("zero entry on the full path", lambda: mt.solve_module_trace(ring, golden, mt.direct_sum(reg, reg))),
+    ]
+    formed = {"zero entry": 1, "rank two": 0, "matched": 0, "zero entry on the full path": 1}
+    for label, build in builds:
+        cert, seen = build(), []
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "abs", lambda x, *args, _abs=np.abs: seen.append(x) or _abs(x, *args))
+            first = json.dumps(cert.to_dict())
+        assert sum(x is cert.Q for x in seen) == formed[label], label
+        assert first == _eager_derived(cert)["to_dict"], label
+
+
 def test_nan_at_the_first_entry_takes_the_full_path():
     # NaN is never negligible, so the early return leaves it to the full test
     ring, _, _, reg = fib_setup()
