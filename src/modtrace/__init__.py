@@ -24,8 +24,8 @@ _LAYER_OF = {
         "chars": "DimChar c_invariant conjugate_char enumerate_characters"
         " fp_character global_dimension is_spherical validate_dim_char",
         "nimrep": "NimRep direct_sum is_indecomposable regular_module validate_nimrep",
-        "solver": "MatchedReport ModuleTrace TraceCertificate dimension_matrix fp_module_trace"
-        " matched_report solve_module_trace",
+        "solver": "MatchedReport ModuleTrace TraceCertificate dimension_matrix matched_report"
+        " solve_module_trace",
         "frobenius": "FrobeniusReport MoritaRescaleReport frobenius_report"
         " inner_hom_multiplicities morita_rescale_check",
         "groups": "GroupTable cyclic_table direct_product group_characters group_ring"

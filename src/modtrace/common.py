@@ -17,8 +17,8 @@ def negligible(residual: float, scale: float, tol: float = DEFAULT_TOL) -> bool:
     ``scale`` is the size of what the residual is made of; ``tol = 0`` means exact and NaN is
     never negligible.  Exempt, as they decide no verdict: the dust clamp of ``snap_components``,
     the eigenvalue-gap reseed of ``enumerate_characters``, the 9-decimal sort key and
-    the exact ``2**53`` guards; and the independent oracles ``matched_vectg_oracle`` and
-    ``fp_module_trace``, which must not share the rule they check.
+    the exact ``2**53`` guards; the integer rank of the trace verdict; and the independent
+    oracle ``matched_vectg_oracle``, which must not share the rule it checks.
     """
     return bool(residual <= tol * max(1.0, scale))
 

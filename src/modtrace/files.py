@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .common import StructuralError, complex_pair
+from .common import StructuralError, complex_pair, require_budget
 from .fusion import FusionRing, _json_text
 
 if TYPE_CHECKING:  # imported where used, so loading a ring pulls in no other layer
@@ -77,6 +77,14 @@ def _require(data: dict, keys: list[str], what: str) -> None:
         raise StructuralError(f"{what} file is missing keys: {', '.join(missing)}")
 
 
+def _require_size(data: dict, key: str, nbytes, what: str) -> None:
+    """Refuse, before its array is built, a file whose header ``key`` asks for ``nbytes(size)``
+    bytes over the budget; a header that is not a positive number is left to the constructor."""
+    size = data[key]
+    if isinstance(size, (int, float)) and not isinstance(size, bool) and 0 < size < float("inf"):
+        require_budget(nbytes(int(size)), what, int(size))
+
+
 # -- rings --------------------------------------------------------------
 
 def save_ring(ring: FusionRing, path) -> None:
@@ -86,6 +94,7 @@ def save_ring(ring: FusionRing, path) -> None:
 def load_ring(path) -> FusionRing:
     data = _load_dict(path)
     _require(data, ["rank", "labels", "unit", "dual", "N"], "ring")
+    _require_size(data, "rank", lambda n: 8 * n**3, "a ring of rank %d")
     return FusionRing(data["rank"], data["labels"], data["unit"], data["dual"], data["N"])
 
 
@@ -136,6 +145,7 @@ def load_module(path, ring: FusionRing) -> NimRep:
 
     data = _load_dict(path)
     _require(data, ["ring", "module_rank", "M"], "module")
+    _require_size(data, "module_rank", lambda k: 8 * ring.rank * k * k, "a module of rank %d")
     _check_ring_field(data["ring"], ring, "module")
     return NimRep(ring, data["module_rank"], data["M"])
 
@@ -155,4 +165,5 @@ def load_group(path) -> GroupTable:
 
     data = _load_dict(path)
     _require(data, ["order", "mul"], "group")
+    _require_size(data, "order", lambda g: 8 * g * g, "a group of order %d")
     return GroupTable(data["order"], data["mul"], data.get("labels"))

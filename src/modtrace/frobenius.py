@@ -41,13 +41,12 @@ def inner_hom_multiplicities(rep: NimRep, i: int, j: int) -> np.ndarray:
     return rep.M[:, i, j]  # a view: rep.M is read-only
 
 
-def _module_q(rep: NimRep, certificate: TraceCertificate) -> np.ndarray:
-    """The certificate's ``Q``, refused unless it has the shape of ``rep``'s dimension matrix."""
-    q = certificate.Q
-    k = rep.module_rank
-    if q.shape != (k, k):
-        raise StructuralError(f"certificate of a rank-{q.shape[0]} module given for rank {k}")
-    return q
+def _module_diagonal(rep: NimRep, certificate: TraceCertificate) -> np.ndarray:
+    """The certificate's ``diag Q``, refused unless it has the length ``k`` of ``rep``'s."""
+    diagonal, k = certificate.diagonal, rep.module_rank
+    if len(diagonal) != k:
+        raise StructuralError(f"certificate of a rank-{len(diagonal)} module given for rank {k}")
+    return diagonal
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -90,16 +89,15 @@ def frobenius_report(
 ) -> FrobeniusReport:
     """Frobenius data of ``<m, m>`` on an indecomposable module.
 
-    ``dim(A) = Q[m][m]``, and haploidity (unit multiplicity one, at the unit
-    of ``rep.ring``) holds by the unit axiom; positivity of ``dim(A)`` is exactly
-    the trace-existence obstruction visible on the diagonal; a ``dim(A)``
-    negligible at scale ``max|Q|`` reads 0.
-    The certificate must be ``rep``'s: a ``Q`` that is not ``k x k`` raises ``StructuralError``.
+    ``dim(A) = Q[m][m]``, from the certificate's diagonal, and haploidity (unit multiplicity
+    one, at the unit of ``rep.ring``) holds by the unit axiom; positivity of ``dim(A)`` is the
+    trace-existence obstruction visible on the diagonal; a ``dim(A)`` negligible at the
+    certificate's ``scale`` reads 0.  A certificate of another module raises ``StructuralError``.
     """
     if not is_indecomposable(rep):
         raise UnsupportedError("Frobenius report needs an indecomposable module")
     mults = inner_hom_multiplicities(rep, m, m)
-    q_mm = _module_q(rep, certificate).item(m, m)
+    q_mm = _module_diagonal(rep, certificate).item(m)
     dim_a = 0.0 if negligible(abs(q_mm), certificate.scale, certificate.tol) else q_mm.real
     return FrobeniusReport(m, mults, dim_a, mults.item(rep.ring.unit) == 1, dim_a > 0.0)
 
@@ -138,19 +136,18 @@ def morita_rescale_check(
 
     With the trace normalised by ``sum |d_M|^2 = dim(C)`` the rescale factor
     ``Q[m][m] / d_M[m]`` collapses to ``conj(d_M[m])``, so the identity is the
-    anchor-column reconstruction of ``Q``; ``ok`` when its residual is negligible at ``max|Q|``.
-    The certificate must be ``rep``'s: a ``Q`` that is not ``k x k`` raises ``StructuralError``.
+    anchor-column reconstruction of column ``m`` of ``Q``; ``ok`` when its residual is negligible
+    at the certificate's ``scale``.  A certificate of another module raises ``StructuralError``.
     """
     if not certificate.matched:
         raise PreconditionError("Morita rescale check requires a matched certificate")
-    q = _module_q(rep, certificate)
-    k = rep.module_rank
+    k = len(_module_diagonal(rep, certificate))
     if not 0 <= m < k:
         raise StructuralError(f"object index {m} out of range for rank {k}")
-    d = certificate.trace.d
+    d, column = certificate.trace.d, certificate.column(m)
     # numpy's complex division, not Python's: the two differ in the last bit
-    scale = complex(q[m, m] / d[m])
-    residuals = np.abs(q[:, m] - d.item(m).conjugate() * d)
+    scale = complex(column[m] / d[m])
+    residuals = np.abs(column - d.item(m).conjugate() * d)
     max_residual = residuals.item(residuals.argmax())
     return MoritaRescaleReport(
         m, scale, max_residual, negligible(max_residual, certificate.scale, certificate.tol)

@@ -43,6 +43,11 @@ def _sha256_constructor():
 
 
 def _int_array(data, name: str, shape: tuple | None = None) -> np.ndarray:
+    """``data`` as an int64 array, copied unless it was handed over: a read-only C-contiguous
+    int64 array of the expected shape that owns its memory, as this package's builders make."""
+    handed_over = type(data) is np.ndarray and data.base is None and not data.flags.writeable
+    if handed_over and data.dtype == np.int64 and data.flags.c_contiguous and data.shape == shape:
+        return data
     try:
         arr = np.asarray(data)
     except ValueError as exc:
@@ -214,6 +219,7 @@ def _group_ring(mul: np.ndarray, labels, unit: int, dual: np.ndarray) -> FusionR
     require_budget(8 * g**3, "the ring of a group of order %d", g)
     N = np.zeros((g, g, g), dtype=np.int64)
     N[np.arange(g)[:, None], np.arange(g)[None, :], mul] = 1
+    N.flags.writeable = False  # handed over: the ring keeps it without a copy
     ring = FusionRing(g, labels, unit, dual.copy(), N)
     ring.__dict__["_mul"] = mul
     return ring

@@ -118,6 +118,7 @@ def cyclic_table(n: int) -> GroupTable:
 def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
     """Direct product; element ``(a, b)`` gets index ``a * |G2| + b``."""
     g1, g2 = t1.order, t2.order
+    require_budget(8 * (g1 * g2) ** 2, "the direct product of groups of order %d and %d", g1, g2)
     # (a, b) * (c, d) = (ac, bd), indexed [a, b, c, d]
     mul = t1.mul[:, None, :, None] * g2 + t2.mul[None, :, None, :]
     mul = mul.reshape(g1 * g2, g1 * g2)
@@ -241,6 +242,7 @@ def vect_g_module(table: GroupTable, H) -> NimRep:
     g, k = table.order, reps.size
     M = np.zeros((g, k, k), dtype=np.int64)
     M[np.arange(g)[:, None], coset_of[table.mul[:, reps]], np.arange(k)[None, :]] = 1
+    M.flags.writeable = False  # handed over without a copy
     rep = NimRep(group_ring(table), k, M)
     rep.__dict__["_indecomposable"] = True
     return rep

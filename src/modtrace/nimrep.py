@@ -115,7 +115,9 @@ def _dense_report(rep: NimRep) -> ValidationReport:
 
 def regular_module(ring: FusionRing) -> NimRep:
     """The ring acting on itself: ``M_u = N_u``."""
-    return NimRep(ring, ring.rank, np.ascontiguousarray(fusion_matrices(ring)))
+    M = fusion_matrices(ring).copy()
+    M.flags.writeable = False  # handed over without a copy
+    return NimRep(ring, ring.rank, M)
 
 
 def direct_sum(rep1: NimRep, rep2: NimRep) -> NimRep:
@@ -127,6 +129,7 @@ def direct_sum(rep1: NimRep, rep2: NimRep) -> NimRep:
     M = np.zeros((n, k1 + k2, k1 + k2), dtype=np.int64)
     M[:, :k1, :k1] = rep1.M
     M[:, k1:, k1:] = rep2.M
+    M.flags.writeable = False  # handed over without a copy
     return NimRep(rep1.ring, k1 + k2, M)
 
 

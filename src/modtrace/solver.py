@@ -1,17 +1,14 @@
 """Module-trace existence as a dimension-matrix eigenvalue problem.
 
-The dimension matrix of a NIM-rep under a dimension character is
-``Q[i][j] = sum_u d(u) (M_u)[i][j]``, the quantum dimension of the inner-hom
-object from ``m_j`` to ``m_i``.  It is hermitian and satisfies
-``Q @ Q = dim(C) Q``, so its eigenvalues are 0 and ``dim(C)``.
-
-A module trace exists precisely when ``Q`` has rank 1 with no zero entry; the
-trace dimension vector is then the essentially unique nowhere-zero eigenvector
-with eigenvalue ``dim(C)``, fixed here by the normalisation
-``sum |d_M|^2 = dim(C)`` and a real-positive anchor at the largest diagonal
-entry.  The same vector is a left eigenvector with eigenvalue
-``C = sum_a d(a)^2``, which detects sphericality: ``C = dim(C)`` for spherical
-characters and ``C = 0`` otherwise.
+The dimension matrix of a NIM-rep under a dimension character is ``Q[i][j] = sum_u d(u)
+(M_u)[i][j]``, the quantum dimension of the inner hom from ``m_j`` to ``m_i``.  It is hermitian
+with ``Q @ Q = dim(C) Q``, so ``Q / dim(C)`` is an orthogonal projection and ``rank Q = tr(Q) /
+dim(C)``.  A module trace exists precisely when ``Q`` has rank 1 with no zero entry; on a rank-1
+``Q = d d^dagger`` an entry ``Q[i][j]`` is zero exactly when ``Q[i][i]`` or ``Q[j][j]`` is, so
+the verdict reads ``diag Q`` at O(nk), and the full ``Q`` is formed only when it is read.  The
+trace vector, one column of ``Q``, is the nowhere-zero eigenvector for ``dim(C)``, normalised by
+``sum |d_M|^2 = dim(C)`` with a real-positive anchor at the largest diagonal entry; it is a left
+eigenvector for ``C = sum_a d(a)^2``, which is ``dim(C)`` for spherical characters and else 0.
 """
 
 from __future__ import annotations
@@ -23,45 +20,59 @@ from typing import ClassVar
 
 import numpy as np
 
-from .common import (
-    DEFAULT_TOL,
-    NumericError,
-    StructuralError,
-    UnsupportedError,
-    complex_pair,
-    negligible,
-    readonly_setstate,
-)
+from .common import DEFAULT_TOL, StructuralError, complex_pair, negligible, readonly_setstate
 from .chars import DimChar, c_invariant, global_dimension
-from .fusion import FusionRing, fp_dimensions, perron_vector
-from .nimrep import NimRep, is_indecomposable
-
-
-def _q_layout(rep: NimRep) -> np.ndarray:
-    """``rep.M`` as a read-only complex ``(n, k*k)`` array; built once per rep."""
-    layout = rep.__dict__.get("_q_layout")
-    if layout is None:
-        k = rep.module_rank
-        layout = rep.M.reshape(rep.ring.rank, k * k).astype(complex)
-        layout.flags.writeable = False
-        rep.__dict__["_q_layout"] = layout
-    return layout
+from .fusion import FusionRing
+from .nimrep import NimRep
 
 
 def dimension_matrix(char: DimChar, rep: NimRep) -> np.ndarray:
-    """Assemble the read-only ``Q = sum_u d(u) M_u`` of a character and a module.
-
-    ``Q`` is one matrix-vector product ``d @ L`` over ``L``, the module's
-    multiplicities as a complex ``(n, k*k)`` array.  ``L`` is built on the
-    first call for a module and kept with it for as long as it lives: one
-    complex copy of ``M``, ``16 n k^2`` bytes.  Each call returns a new array.
-    """
+    """The read-only ``Q = sum_u d(u) M_u``: a new array from one product ``d @ L``, where ``L``
+    is ``M`` as a complex ``(n, k*k)`` array (``16 n k^2`` bytes) made for the call."""
     if char.ring is not rep.ring and char.ring != rep.ring:
         raise StructuralError("ring references of character and module disagree")
-    k = rep.module_rank
-    q = char.d.dot(_q_layout(rep)).reshape(k, k)
+    n, k = rep.ring.rank, rep.module_rank
+    q = char.d.dot(rep.M.reshape(n, k * k).astype(complex)).reshape(k, k)
     q.setflags(write=False)
     return q
+
+
+def _layout(cols: np.ndarray, tail: bool, lead: int = 0) -> np.ndarray:
+    """``k`` columns of ``M.reshape(n, k*k)`` as the operand of an O(nk) product whose last ``k``
+    entries equal those of :func:`dimension_matrix` bit for bit: OpenBLAS's complex matrix-vector
+    kernels compute the last ``m % 4`` of ``m`` outputs in a scalar loop that rounds differently,
+    and of ``Q`` (``k*k % 4`` is ``k % 2``) only ``Q[k-1][k-1]`` of an odd ``k`` comes from it
+    (``tail``: the last of ``cols`` is that entry).  Zero columns in front, at least ``lead`` of
+    them, give every entry its loop; each output reads its own column."""
+    n, k = cols.shape
+    width = (lead + k - tail + 3) // 4 * 4 + tail
+    layout = np.zeros((n, width), dtype=complex)
+    layout[:, width - k:] = cols
+    return layout
+
+
+def _diagonal_product(char: DimChar, rep: NimRep) -> np.ndarray:
+    """``tr Q`` first and ``diag Q`` last: one product over a layout kept with the module."""
+    layout = rep.__dict__.get("_diagonal_layout")
+    if layout is None:
+        M, k = rep.M, rep.module_rank
+        # at k = 1, Q is a dot product, not a matrix-vector one, and tr(Q) is Q[0][0]: no lead
+        layout = _layout(M.diagonal(0, 1, 2), k % 2 == 1, lead=int(k > 1))
+        layout[:, 0] = M.trace(axis1=1, axis2=2)
+        layout.flags.writeable = False
+        rep.__dict__["_diagonal_layout"] = layout
+    return char.d.dot(layout)
+
+
+def _column(char: DimChar, rep: NimRep, j: int) -> np.ndarray:
+    """``Q[:, j]`` as the last ``k`` entries of a product over a layout made for the call."""
+    k = rep.module_rank
+    return char.d.dot(_layout(rep.M[:, :, j], k % 2 == 1 and j == k - 1))[-k:]
+
+
+def _rank(trace: float, dim_c: float) -> int:
+    """``round(tr(Q) / dim(C))`` as 0, 1 or 2 (2 also for more, and NaN), at margin ``dim(C)/2``."""
+    return 2 if not trace < 1.5 * dim_c else 1 if 0.5 * dim_c < trace else 0
 
 
 _COMPLEX = np.dtype(complex)
@@ -69,13 +80,9 @@ _COMPLEX = np.dtype(complex)
 
 @dataclass(frozen=True, eq=False, init=False)
 class ModuleTrace:
-    """Trace dimensions of the module simples, ``sum |d|^2 = dim(C)``.
-
-    The phase is fixed by making the entry at ``anchor`` (the largest diagonal
-    entry of ``Q``) real and positive.  ``d`` is always a read-only complex
-    array: a read-only complex array is kept as given (the solver hands over
-    the column it has just computed), and anything else is copied into one.
-    """
+    """Trace dimensions of the module simples, ``sum |d|^2 = dim(C)``, real and positive at
+    ``anchor``, the largest diagonal entry of ``Q``.  A read-only complex ``d`` is kept as given
+    (the solver hands over the column it has just computed); anything else is copied into one."""
 
     d: np.ndarray
     anchor: int
@@ -93,60 +100,70 @@ class ModuleTrace:
 class TraceCertificate:
     """Outcome of the module-trace existence test for one (char, rep) pair.
 
-    The six fields are the values the verdict read.  ``scale``, ``min_entry``,
-    ``max_minor``, ``diagnostics`` and ``residuals`` are derived from them on
-    first read and kept in ``__dict__`` (the solve stores those it has
-    computed), and :attr:`spherical_by_c` is computed on each read.  So a copy
-    made by ``dataclasses.replace`` derives them from its own fields.  The
-    first three share one ``|Q|``, formed on the first read of any of them.
+    ``diagonal`` (``diag Q``), ``scale``, ``Q``, ``min_entry``, ``max_minor``, ``diagnostics``
+    and ``residuals`` are derived from the five fields on first read and kept in ``__dict__``
+    (the solve stores those it has computed), so a ``dataclasses.replace`` copy derives its own;
+    ``dim_c``, ``c`` and :attr:`spherical_by_c` are read on each access.  ``diagonal``,
+    ``scale`` and :meth:`column` cost O(nk); the others form the full ``Q``.
     """
 
     matched: bool
-    Q: np.ndarray  #: the read-only dimension matrix
+    char: DimChar
+    rep: NimRep
     trace: ModuleTrace | None
-    dim_c: float
-    c: complex
     tol: float  #: the tolerance of the verdict; not emitted by :meth:`to_dict`
 
-    def __init__(self, matched, Q, trace, dim_c, c, tol):
+    def __init__(self, matched, char, rep, trace, tol):
         # one dict update instead of the frozen dataclass's setattr per field
-        self.__dict__.update({
-            "matched": matched, "Q": Q, "trace": trace, "dim_c": dim_c, "c": c, "tol": tol,
-        })
+        self.__dict__.update({"matched": matched, "char": char, "rep": rep, "trace": trace, "tol": tol})
 
     __setstate__ = readonly_setstate
 
+    dim_c = property(lambda self: global_dimension(self.char), doc="``dim(C)`` of the character.")
+    c = property(lambda self: c_invariant(self.char), doc="``C`` of the character.")
+
     @cached_property
-    def _extremes(self) -> tuple[int, float, float]:
-        """``(argmax|Q|, max|Q|, min|Q|)`` from one ``|Q|``, read as the solve reads them."""
-        mag = np.abs(self.Q)
-        top = int(mag.argmax())
-        return top, mag.item(top), mag.item(mag.argmin())
+    def diagonal(self) -> np.ndarray:
+        """``diag Q``, read-only, equal to the diagonal of :attr:`Q` bit for bit."""
+        diagonal = _diagonal_product(self.char, self.rep)[-self.rep.module_rank:]
+        diagonal.flags.writeable = False
+        return diagonal
+
+    def column(self, j: int) -> np.ndarray:
+        """``Q[:, j]``, a new array equal to that column of :attr:`Q` bit for bit, at O(nk)."""
+        return _column(self.char, self.rep, j)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """The read-only dimension matrix, formed by :func:`dimension_matrix` on first read."""
+        return dimension_matrix(self.char, self.rep)
 
     @cached_property
     def scale(self) -> float:
-        """``max|Q|``, the scale of every verdict on ``Q``."""
-        return self._extremes[1]
+        """The largest ``|Q[i][i]|``, the scale of every verdict on ``Q``; ``max|Q|`` for valid input."""
+        mag = np.abs(self.diagonal)
+        return mag.item(mag.argmax())
 
     @cached_property
     def min_entry(self) -> float:
         """Smallest entry of ``|Q|``."""
-        return self._extremes[2]
+        mag = np.abs(self.Q)
+        return mag.item(mag.argmin())
 
     @cached_property
     def max_minor(self) -> float:
         """Largest 2x2 minor through the pivot at the largest entry of ``|Q|``."""
-        return _max_minor(self.Q, self._extremes[0])
+        return _max_minor(self.Q)
 
     @cached_property
     def diagnostics(self) -> tuple[str, ...]:
-        """Every test that fails, in this order: the rank, a zero entry, a zero diagonal."""
-        m, scale, tol = self.Q, self.scale, self.tol
-        diagnostics = () if negligible(self.max_minor, scale * scale, tol) else ("rank exceeds 1",)
+        """Every test that fails, in this order: the rank, a zero entry, a zero diagonal (or rank 0)."""
+        real, scale, tol = self.diagonal.real, self.scale, self.tol
+        rank = _rank(_diagonal_product(self.char, self.rep).item(0).real, self.dim_c)
+        diagnostics = ("rank exceeds 1",) if rank == 2 else ()
         if negligible(self.min_entry, scale, tol):
             diagnostics += ("zero entry in Q",)
-        diagonal = m.real.diagonal()
-        if negligible(diagonal.item(diagonal.argmax()), scale, tol):
+        if rank == 0 or negligible(real.item(real.argmax()), scale, tol):
             diagnostics += ("zero diagonal",)
         return diagnostics
 
@@ -193,11 +210,11 @@ class TraceCertificate:
         return out
 
 
-def _max_minor(m: np.ndarray, top: int) -> float:
-    """The largest 2x2 minor of ``Q`` through the pivot ``top = argmax|Q|``."""
+def _max_minor(m: np.ndarray) -> float:
+    """The largest 2x2 minor of ``Q`` through the pivot at ``argmax|Q|``."""
     # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
-    # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s].  Extremes are read
-    # at their arg-index: cheaper than a reduction on small arrays, and equal to it.
+    # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s]
+    top = int(np.abs(m).argmax())
     r, s = divmod(top, m.shape[1])
     minors = m.item(top) * m
     minors -= m[:, s, None] * m[r]
@@ -210,88 +227,49 @@ def solve_module_trace(
 ) -> TraceCertificate:
     """Decide module-trace existence and extract the trace dimension vector.
 
-    ``matched`` is true iff ``Q`` has rank at most 1 and every entry of ``Q``
-    is nonzero, by :func:`~modtrace.common.negligible` at scale ``max|Q|``
-    (``max|Q|**2`` for the minors, which are quadratic in ``Q``).  Zero
-    entries are tested first, and a zero entry decides the verdict.
-    ``Q[0][0] = dim <m_0, m_0>`` is read before anything else: when
-    ``|Q[0][0]| <= tol`` the smallest entry is negligible at any scale, so the
-    solve returns before it forms ``|Q|``; otherwise it tests the smallest
-    entry of ``|Q|``.  When no entry is zero the O(k^2) rank test runs here:
-    with the pivot ``(r, s)`` at the largest entry of ``|Q|``, ``max_minor``
-    is the largest 2x2 minor through the pivot,
-    ``max_ab |Q[r][s] Q[a][b] - Q[a][s] Q[r][b]|``, which vanishes exactly
-    when the rank is at most 1 (it is 0 for ``Q = 0``).  For the positive
-    semidefinite ``Q`` of valid inputs the pivot is the anchor below.
+    The solve forms ``diag Q = d @ diag(M_u)`` (and ``tr Q`` in the same product) and the
+    anchor column ``Q[:, p]`` at the largest diagonal entry ``p``, and no other entry of
+    ``Q``.  By :func:`~modtrace.common.negligible`, in this order, it is unmatched when
 
-    When matched, the vector is recovered from the anchor column:
-    ``d_M[i] = Q[i][p] / sqrt(Q[p][p])`` at the largest diagonal entry ``p``,
-    giving ``sum |d_M|^2 = trace(Q) = dim(C)`` and ``d_M[p] > 0``.  The
-    solver makes that freshly computed column read-only and hands it to
-    :class:`ModuleTrace` as is, without a copy.  The certificate keeps the
-    ``scale``, ``min_entry`` and ``max_minor`` computed here, and the empty
-    ``diagnostics`` of a match; everything else it explains is derived from
-    its fields on first read.
+    - ``|Q[0][0]|`` is negligible at scale 0, that is at most ``tol``;
+    - the smallest ``|Q[i][i]|`` is negligible at ``scale``, the largest;
+    - the integer rank ``round(tr(Q) / dim(C))`` is not 1, which needs no tolerance;
+    - an entry of the anchor column is negligible at ``scale``: implied by the diagonal in
+      exact arithmetic, it keeps ``tol = 0`` from taking dust on a zero diagonal for nonzero.
+
+    That is the rank-1-with-no-zero-entry test where ``Q^2 = dim(C) Q``, for a character of the
+    ring and a NIM-rep of it as the CLI validates them (``q_square`` shows a violation).  A match
+    hands ``d_M = Q[:, p] / sqrt(Q[p][p])`` to :class:`ModuleTrace` without a copy, and keeps
+    ``diagonal``, ``scale`` and its empty ``diagnostics``.
     """
-    if rep.ring is not ring and rep.ring != ring:
+    if rep.ring is not ring and rep.ring != ring or char.ring is not ring and char.ring != ring:
         raise StructuralError("ring references of character and module disagree")
-    m = dimension_matrix(char, rep)
-    dim_c, c = global_dimension(char), c_invariant(char)
-    if negligible(abs(m.item(0)), 0.0, tol):
-        # min_entry <= |Q[0][0]| <= tol <= tol * max(1, scale): the zero-entry verdict below
-        return TraceCertificate(False, m, None, dim_c, c, tol)
-    mag = np.abs(m)
-    top = int(mag.argmax())
-    scale, min_entry = mag.item(top), mag.item(mag.argmin())
-    if negligible(min_entry, scale, tol):
-        cert = TraceCertificate(False, m, None, dim_c, c, tol)
-        found = cert.__dict__
-        found["scale"], found["min_entry"] = scale, min_entry
-        return cert
-    max_minor = _max_minor(m, top)
+    k = rep.module_rank
+    product = _diagonal_product(char, rep)
+    if negligible(abs(product.item(-k)), 0.0, tol):
+        # min_entry <= |Q[0][0]| <= tol <= tol * max(1, scale): a zero entry
+        return TraceCertificate(False, char, rep, None, tol)
+    diagonal = product[-k:]
+    diagonal.flags.writeable = False
+    mag = np.abs(diagonal)
+    scale = mag.item(mag.argmax())
     trace = None
-    if negligible(max_minor, scale * scale, tol):
-        diagonal = m.real.diagonal()
-        p = int(diagonal.argmax())
-        q_pp = diagonal.item(p)
-        if not negligible(q_pp, scale, tol):
-            d = m[:, p] / math.sqrt(q_pp)
-            d.setflags(write=False)
+    rank = _rank(product.item(0).real, global_dimension(char))
+    if not negligible(mag.item(mag.argmin()), scale, tol) and rank == 1:
+        real = diagonal.real
+        p = int(real.argmax())
+        column = _column(char, rep, p)
+        mag = np.abs(column)
+        if not negligible(mag.item(mag.argmin()), scale, tol):
+            d = column / math.sqrt(real.item(p))
+            d.flags.writeable = False
             trace = ModuleTrace(d, p)
-    cert = TraceCertificate(trace is not None, m, trace, dim_c, c, tol)
-    # item stores: cheaper than a dict update on the matched path
-    found = cert.__dict__
-    found["scale"], found["min_entry"], found["max_minor"] = scale, min_entry, max_minor
+    cert = TraceCertificate(trace is not None, char, rep, trace, tol)
+    found = cert.__dict__  # item stores: cheaper than a dict update
+    found["diagonal"], found["scale"] = diagonal, scale
     if trace is not None:
         found["diagnostics"] = ()
     return cert
-
-
-#: Bound of :func:`fp_module_trace` on each Perron eigenvector residual, relative to
-#: ``max(1, FPdim(u))``; the oracle's own, apart from :func:`~modtrace.common.negligible`.
-FP_TRACE_TOL = 1e-8
-
-
-def fp_module_trace(rep: NimRep) -> np.ndarray:
-    """The canonical positive trace vector of an indecomposable NIM-rep.
-
-    Returns the Perron vector ``w`` of ``sum_u M_u``, normalised to
-    ``sum w_i^2 = sum_a FPdim(a)^2``; it satisfies
-    ``M_u.T @ w = FPdim(u) w`` for every ``u`` and coincides with the solver's
-    trace vector for the Frobenius-Perron character.
-    """
-    if not is_indecomposable(rep):
-        raise UnsupportedError("canonical trace needs an indecomposable module")
-    fp = fp_dimensions(rep.ring)
-    _, w = perron_vector(rep.action_sum().astype(float))
-    w = w * np.sqrt(float(fp @ fp))
-    for u in range(rep.ring.rank):
-        resid = np.max(np.abs(rep.M[u].T @ w - fp[u] * w))
-        if resid > FP_TRACE_TOL * max(1.0, fp[u]):
-            raise NumericError(
-                f"action matrix {u} violates the Perron eigenvector relation ({resid:.2e})"
-            )
-    return w
 
 
 @dataclass(frozen=True, eq=False)

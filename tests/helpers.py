@@ -101,6 +101,33 @@ def q_property_report(q: np.ndarray, dim_c: float) -> QPropertyReport:
     return QPropertyReport(residual_square, residual_hermitian, eigen_deviation, passed)
 
 
+#: Bound of :func:`fp_module_trace` on each Perron eigenvector residual, relative to
+#: ``max(1, FPdim(u))``; the oracle's own, apart from :func:`~modtrace.common.negligible`.
+FP_TRACE_TOL = 1e-8
+
+
+def fp_module_trace(rep) -> np.ndarray:
+    """Oracle: the canonical positive trace vector of an indecomposable NIM-rep.
+
+    Returns the Perron vector ``w`` of ``sum_u M_u``, normalised to
+    ``sum w_i^2 = sum_a FPdim(a)^2``; it satisfies
+    ``M_u.T @ w = FPdim(u) w`` for every ``u`` and coincides with the solver's
+    trace vector for the Frobenius-Perron character.
+    """
+    if not mt.is_indecomposable(rep):
+        raise mt.UnsupportedError("canonical trace needs an indecomposable module")
+    fp = mt.fp_dimensions(rep.ring)
+    _, w = mt.perron_vector(rep.action_sum().astype(float))
+    w = w * np.sqrt(float(fp @ fp))
+    for u in range(rep.ring.rank):
+        resid = np.max(np.abs(rep.M[u].T @ w - fp[u] * w))
+        if resid > FP_TRACE_TOL * max(1.0, fp[u]):
+            raise mt.NumericError(
+                f"action matrix {u} violates the Perron eigenvector relation ({resid:.2e})"
+            )
+    return w
+
+
 def trace_exists_bruteforce(Q: np.ndarray, dim_c: float, tol: float = 1e-7) -> bool:
     """Independent existence test: search the dim(C)-eigenspace of Q for a
     nowhere-zero vector.

@@ -16,6 +16,7 @@ from modtrace.cli import run as cli_run
 from helpers import (
     PHI,
     abelian_tables_up_to,
+    fp_module_trace,
     instance_universe,
     q_property_report,
     trace_exists_bruteforce,
@@ -99,7 +100,7 @@ def test_criterion_4_pseudo_unitary_flexibility():
             assert mt.is_indecomposable(rep)
             cert = mt.solve_module_trace(ring, fp_char, rep)
             assert cert.matched, name
-            canonical = mt.fp_module_trace(rep)
+            canonical = fp_module_trace(rep)
             assert np.max(np.abs(cert.trace.d - canonical)) < 1e-8, name
             checked += 1
     print(

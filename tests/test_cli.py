@@ -376,6 +376,32 @@ def test_oversized_cyclic_order_is_refused_before_allocating(argv):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "kind, key, size, needs",
+    [
+        ("ring", "rank", 4096, "a ring of rank 4096 needs 549,755,813,888 bytes"),
+        ("module-H00", "module_rank", 2**20, "a module of rank 1048576 needs 17,592,186,044,416 bytes"),
+        ("group", "order", 2**20, "a group of order 1048576 needs 8,796,093,022,208 bytes"),
+    ],
+)
+def test_oversized_file_headers_are_refused_before_the_array_is_built(z2_dir, kind, key, size, needs):
+    # each file keeps its small array and claims a size over the budget in its header; the
+    # refusal comes from the header, not from the shape check of the array
+    path = z2_dir / f"{kind}.json"
+    data = json.loads(path.read_text())
+    data[key] = size
+    path.write_text(json.dumps(data))
+    ring, module = z2_dir / "ring.json", z2_dir / "module-H00.json"
+    argv = {
+        "ring": ["validate", str(ring)],
+        "module-H00": ["trace", str(ring), "--char", "0", "--module", str(module)],
+        "group": ["vectg", "--group", str(path)],
+    }[kind]
+    code, out, err = invoke(*argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {needs}, over the budget of 268,435,456\n"
+
+
 def test_char_index_out_of_range(fib_dir):
     code, _, err = invoke(
         "trace", str(fib_dir / "ring.json"),

@@ -168,14 +168,15 @@ def test_reports_decide_at_the_certificate_tolerance():
     rep = mt.regular_module(ring)
     cert = mt.solve_module_trace(ring, char, rep)
     assert cert.tol == mt.DEFAULT_TOL
-    # a trace vector off by a relative 1e-6, and an unmatched Q with a diagonal entry of 1e-6
+    # a trace vector off by a relative 1e-6, and an unmatched Q with a diagonal entry of 1e-6:
+    # Q[0][0] = d(0) on the regular module of fibonacci
     off = mt.ModuleTrace(cert.trace.d * (1 + 1e-6), cert.trace.anchor)
-    q = cert.Q.copy()
-    q[0, 0] = 1e-6
+    dust = mt.DimChar(ring, [1e-6, PHI])
     for tol, negligible in ((mt.DEFAULT_TOL, False), (1e-3, True)):
         shifted = dataclasses.replace(cert, trace=off, tol=tol)
         assert mt.morita_rescale_check(ring, char, rep, 1, shifted).ok is negligible
-        dusty = dataclasses.replace(cert, matched=False, Q=q, trace=None, tol=tol)
+        dusty = dataclasses.replace(cert, matched=False, char=dust, trace=None, tol=tol)
+        assert dusty.Q[0, 0] == 1e-6
         report = mt.frobenius_report(ring, char, rep, 0, dusty)
         assert report.dim_a == (0.0 if negligible else 1e-6)
         assert report.positivity_ok is not negligible

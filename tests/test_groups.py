@@ -1,6 +1,7 @@
 import gc
 import itertools
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -232,6 +233,21 @@ def test_byte_budget_is_checked_at_each_group_step(monkeypatch):
     assert mt.group_ring(table).rank == 16
     for k in (1, 2, 256, 257, 65_536, 65_537, 2**32):
         assert _composes_bytes(1, k) == 2 * k * np.min_scalar_type(k - 1).itemsize, k
+
+
+def test_direct_product_is_refused_before_its_table_is_formed(monkeypatch):
+    # Z:30 x Z:30 has a 900 x 900 int64 table (6,480,000 bytes); under a smaller budget the
+    # product is refused from the orders alone, before any of it is allocated
+    z30 = mt.cyclic_table(30)
+    monkeypatch.setattr(common, "BYTE_BUDGET", 6_479_999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(mt.UnsupportedError, match="groups of order 30 and 30 needs 6,480,000 bytes"):
+            mt.direct_product(z30, z30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _reference_tables():

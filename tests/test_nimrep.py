@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,45 @@ def test_fp_compatibility_on_indecomposables():
             for u in range(ring.rank):
                 resid = np.max(np.abs(rep.M[u].T @ w - fp[u] * w))
                 assert resid < 1e-8, (name, u, resid)
+
+
+def _peak(build) -> int:
+    """Bytes that ``build()`` allocated at its peak, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_builders_hand_over_the_arrays_they_own():
+    # the builders make N and M once and the constructors keep them: a zn:64 ring, its
+    # regular module and a coset module each peak at about one g^3 tensor, not two
+    g = 64
+    tensor = 8 * g**3
+    ring = mt.builtin(f"zn:{g}")[0]
+    table = mt.cyclic_table(g)
+    assert _peak(lambda: mt.builtin(f"zn:{g}")) < 1.5 * tensor
+    assert _peak(lambda: mt.regular_module(ring)) < 1.2 * tensor
+    assert _peak(lambda: mt.vect_g_module(table, (0,))) < 2.2 * tensor  # M and the ring, which the table holds weakly
+    reg = mt.regular_module(ring)
+    assert _peak(lambda: mt.direct_sum(reg, reg)) < 4.2 * tensor  # M of rank 2g is four tensors
+
+
+def test_a_callers_array_is_copied_and_stays_writable():
+    ring = mt.builtin("zn:4")[0]
+    given = ring.N.copy()
+    view = ring.N.copy()[:]
+    view.flags.writeable = False  # read-only, but a view of a writable array
+    for N in (given, view, given.astype(np.int32)):
+        twin = mt.FusionRing(4, ring.labels, ring.unit, ring.dual, N)
+        assert not np.shares_memory(twin.N, N) and not twin.N.flags.writeable
+    assert given.flags.writeable
+    M = mt.regular_module(ring).M.copy()
+    rep = mt.NimRep(ring, 4, M)
+    assert not np.shares_memory(rep.M, M) and M.flags.writeable
+    M[0, 0, 0] = 7
+    assert rep.M[0, 0, 0] == 1
