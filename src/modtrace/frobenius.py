@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import (
+    DEFAULT_TOL,
     PreconditionError,
     StructuralError,
     UnsupportedError,
@@ -134,10 +135,11 @@ def morita_rescale_check(
 ) -> MoritaRescaleReport:
     """Verify ``Q[n][m] = conj(d_M[m]) * d_M[n]`` for every module simple ``n``.
 
-    With the trace normalised by ``sum |d_M|^2 = dim(C)`` the rescale factor
-    ``Q[m][m] / d_M[m]`` collapses to ``conj(d_M[m])``, so the identity is the
-    anchor-column reconstruction of column ``m`` of ``Q``; ``ok`` when its residual is negligible
-    at the certificate's ``scale``.  A certificate of another module raises ``StructuralError``.
+    With the trace normalised by ``sum |d_M|^2 = dim(C)`` the rescale factor ``Q[m][m] / d_M[m]``
+    collapses to ``conj(d_M[m])``, so the identity is the anchor-column reconstruction of column
+    ``m`` of ``Q``; ``ok`` when its residual is negligible at the certificate's ``scale`` and
+    ``tol`` floored at :data:`DEFAULT_TOL`, as ``d_M`` is rounded.  A certificate of another
+    module raises ``StructuralError``.
     """
     if not certificate.matched:
         raise PreconditionError("Morita rescale check requires a matched certificate")
@@ -149,6 +151,5 @@ def morita_rescale_check(
     scale = complex(column[m] / d[m])
     residuals = np.abs(column - d.item(m).conjugate() * d)
     max_residual = residuals.item(residuals.argmax())
-    return MoritaRescaleReport(
-        m, scale, max_residual, negligible(max_residual, certificate.scale, certificate.tol)
-    )
+    ok = negligible(max_residual, certificate.scale, max(certificate.tol, DEFAULT_TOL))
+    return MoritaRescaleReport(m, scale, max_residual, ok)

@@ -63,18 +63,17 @@ class NimRep:
 def validate_nimrep(rep: NimRep) -> ValidationReport:
     """Check the unit, composition, duality and action axioms exhaustively.
 
-    A rep of a ring with a :func:`~modtrace.fusion.pointed_table` ``mul``
-    passes at once, in O(nk(n + k)), when every ``M_u`` is a permutation matrix
-    and the permutations compose along ``mul`` (``fusion._composes``): a
-    group acting by permutations satisfies every axiom.  Any other rep gets
-    the dense check, which compares composition one ``u`` at a time with
-    float64 matrix products, exact because every sum is at most
-    ``max(k * max(M)^2, n * max(N) * max(M))``; a rep where that reaches
-    ``2^53`` is refused with :class:`StructuralError`.
+    A rep of a ring with a :func:`~modtrace.fusion.pointed_table` ``mul`` passes at once, in
+    O(nk(n + k)) time and ``2 * _composes_bytes(n, k)`` bytes, when every ``M_u`` is a permutation
+    matrix and the permutations compose along ``mul`` (``fusion._composes``): a group acting by
+    permutations satisfies every axiom.  Any other rep gets the dense check, which compares
+    composition one ``u`` at a time with float64 matrix products, exact because every sum is at
+    most ``max(k * max(M)^2, n * max(N) * max(M))``; a rep where that reaches ``2^53`` is refused
+    with :class:`StructuralError`.
     """
     M, mul = rep.M, pointed_table(rep.ring)
     if mul is not None and (M.sum(axis=1) == 1).all() and (M.sum(axis=2) == 1).all():
-        if _composes(mul, M.argmax(axis=1)):  # [u, i]: the image of module simple i under u
+        if _composes(mul, np.arange(rep.module_rank) @ M):  # [u, i]: the image of simple i under u
             return ValidationReport(())
     return _dense_report(rep)
 

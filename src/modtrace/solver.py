@@ -5,7 +5,7 @@ The dimension matrix of a NIM-rep under a dimension character is ``Q[i][j] = sum
 with ``Q @ Q = dim(C) Q``, so ``Q / dim(C)`` is an orthogonal projection and ``rank Q = tr(Q) /
 dim(C)``.  A module trace exists precisely when ``Q`` has rank 1 with no zero entry; on a rank-1
 ``Q = d d^dagger`` an entry ``Q[i][j]`` is zero exactly when ``Q[i][i]`` or ``Q[j][j]`` is, so
-the verdict reads ``diag Q`` at O(nk), and the full ``Q`` is formed only when it is read.  The
+the verdict reads ``diag Q`` at O(nk); ``Q`` is stacked from O(nk) column products when read.  The
 trace vector, one column of ``Q``, is the nowhere-zero eigenvector for ``dim(C)``, normalised by
 ``sum |d_M|^2 = dim(C)`` with a real-positive anchor at the largest diagonal entry; it is a left
 eigenvector for ``C = sum_a d(a)^2``, which is ``dim(C)`` for spherical characters and else 0.
@@ -27,22 +27,22 @@ from .nimrep import NimRep
 
 
 def dimension_matrix(char: DimChar, rep: NimRep) -> np.ndarray:
-    """The read-only ``Q = sum_u d(u) M_u``: a new array from one product ``d @ L``, where ``L``
-    is ``M`` as a complex ``(n, k*k)`` array (``16 n k^2`` bytes) made for the call."""
+    """The read-only ``Q = sum_u d(u) M_u``, a new array whose column ``j`` is :func:`_column`, its
+    diagonal from :func:`_diagonal_product`: the certificate's bit for bit, and no copy of ``M``."""
     if char.ring is not rep.ring and char.ring != rep.ring:
         raise StructuralError("ring references of character and module disagree")
-    n, k = rep.ring.rank, rep.module_rank
-    q = char.d.dot(rep.M.reshape(n, k * k).astype(complex)).reshape(k, k)
+    diagonal = _diagonal_product(char, rep)[-rep.module_rank:]
+    q = np.stack([_column(char, rep, j, diagonal) for j in range(len(diagonal))], axis=1)
     q.setflags(write=False)
     return q
 
 
-def _layout(cols: np.ndarray, tail: bool, lead: int = 0) -> np.ndarray:
-    """``k`` columns of ``M.reshape(n, k*k)`` as the operand of an O(nk) product whose last ``k``
-    entries equal those of :func:`dimension_matrix` bit for bit: OpenBLAS's complex matrix-vector
-    kernels compute the last ``m % 4`` of ``m`` outputs in a scalar loop that rounds differently,
-    and of ``Q`` (``k*k % 4`` is ``k % 2``) only ``Q[k-1][k-1]`` of an odd ``k`` comes from it
-    (``tail``: the last of ``cols`` is that entry).  Zero columns in front, at least ``lead`` of
+def _layout(cols: np.ndarray, tail: bool = False, lead: int = 0) -> np.ndarray:
+    """``k`` columns of ``M`` as the operand of an O(nk) product, its outputs the last ``k``.
+    OpenBLAS's complex matrix-vector kernels compute the last ``m % 4`` of ``m`` outputs in a
+    scalar loop that rounds differently; the layout keeps each entry of ``Q`` on its loop, the
+    vector loop but for ``Q[k-1][k-1]`` of an odd ``k`` (``tail``: the last of ``cols``), as in
+    the one product ``d @ M.reshape(n, k*k)``.  Zero columns in front, at least ``lead`` of
     them, give every entry its loop; each output reads its own column."""
     n, k = cols.shape
     width = (lead + k - tail + 3) // 4 * 4 + tail
@@ -64,10 +64,11 @@ def _diagonal_product(char: DimChar, rep: NimRep) -> np.ndarray:
     return char.d.dot(layout)
 
 
-def _column(char: DimChar, rep: NimRep, j: int) -> np.ndarray:
-    """``Q[:, j]`` as the last ``k`` entries of a product over a layout made for the call."""
-    k = rep.module_rank
-    return char.d.dot(_layout(rep.M[:, :, j], k % 2 == 1 and j == k - 1))[-k:]
+def _column(char: DimChar, rep: NimRep, j: int, diagonal: np.ndarray) -> np.ndarray:
+    """``Q[:, j]``: a product over a layout made for the call, its entry ``j`` from ``diagonal``."""
+    column = char.d.dot(_layout(rep.M[:, :, j]))[-len(diagonal):]
+    column[j] = diagonal[j]
+    return column
 
 
 def _rank(trace: float, dim_c: float) -> int:
@@ -103,8 +104,9 @@ class TraceCertificate:
     ``diagonal`` (``diag Q``), ``scale``, ``Q``, ``min_entry``, ``max_minor``, ``diagnostics``
     and ``residuals`` are derived from the five fields on first read and kept in ``__dict__``
     (the solve stores those it has computed), so a ``dataclasses.replace`` copy derives its own;
-    ``dim_c``, ``c`` and :attr:`spherical_by_c` are read on each access.  ``diagonal``,
-    ``scale`` and :meth:`column` cost O(nk); the others form the full ``Q``.
+    ``dim_c``, ``c`` and :attr:`spherical_by_c` are read on each access.  ``diagonal``, ``scale``
+    and :meth:`column` cost O(nk); the others form ``Q``, and :meth:`to_dict` peaks within
+    ``8 * 16 * (n*k + k^2)`` bytes.
     """
 
     matched: bool
@@ -131,7 +133,7 @@ class TraceCertificate:
 
     def column(self, j: int) -> np.ndarray:
         """``Q[:, j]``, a new array equal to that column of :attr:`Q` bit for bit, at O(nk)."""
-        return _column(self.char, self.rep, j)
+        return _column(self.char, self.rep, j, self.diagonal)
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -153,7 +155,15 @@ class TraceCertificate:
     @cached_property
     def max_minor(self) -> float:
         """Largest 2x2 minor through the pivot at the largest entry of ``|Q|``."""
-        return _max_minor(self.Q)
+        # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
+        # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s]
+        m = self.Q
+        top = int(np.abs(m).argmax())
+        r, s = divmod(top, m.shape[1])
+        minors = m.item(top) * m
+        minors -= m[:, s, None] * m[r]
+        minors = np.abs(minors)
+        return minors.item(minors.argmax())
 
     @cached_property
     def diagnostics(self) -> tuple[str, ...]:
@@ -210,18 +220,6 @@ class TraceCertificate:
         return out
 
 
-def _max_minor(m: np.ndarray) -> float:
-    """The largest 2x2 minor of ``Q`` through the pivot at ``argmax|Q|``."""
-    # Rank <= 1 iff every 2x2 minor through the largest entry (r, s) vanishes:
-    # Q[r][s] != 0 then forces Q = Q[:, s] Q[r, :] / Q[r][s]
-    top = int(np.abs(m).argmax())
-    r, s = divmod(top, m.shape[1])
-    minors = m.item(top) * m
-    minors -= m[:, s, None] * m[r]
-    minors = np.abs(minors)
-    return minors.item(minors.argmax())
-
-
 def solve_module_trace(
     ring: FusionRing, char: DimChar, rep: NimRep, tol: float = DEFAULT_TOL
 ) -> TraceCertificate:
@@ -258,7 +256,7 @@ def solve_module_trace(
     if not negligible(mag.item(mag.argmin()), scale, tol) and rank == 1:
         real = diagonal.real
         p = int(real.argmax())
-        column = _column(char, rep, p)
+        column = _column(char, rep, p, diagonal)
         mag = np.abs(column)
         if not negligible(mag.item(mag.argmin()), scale, tol):
             d = column / math.sqrt(real.item(p))

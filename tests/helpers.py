@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,18 @@ def instance_universe(max_zn: int = 10, with_sums: bool = True):
         for ci, char in enumerate(chars):
             for mlabel, rep in modules:
                 yield f"{name}/char{ci}/{mlabel}", ring, char, rep
+
+
+def allocation_peak(build) -> int:
+    """Bytes that ``build()`` allocated at its peak, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def dimension_matrix_reference(char, rep) -> np.ndarray:

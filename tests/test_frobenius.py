@@ -182,6 +182,19 @@ def test_reports_decide_at_the_certificate_tolerance():
         assert report.positivity_ok is not negligible
 
 
+def test_morita_tolerance_is_floored_at_the_default():
+    # d_M is a rounded column of Q: on the fibonacci regular module the identity leaves
+    # 2.2e-16 at object 0, which passes at tol = 0; a trace vector off by 1e-6 fails at both
+    ring, chars = mt.builtin("fibonacci")
+    rep = mt.regular_module(ring)
+    for tol in (0.0, mt.DEFAULT_TOL):
+        cert = mt.solve_module_trace(ring, chars[0], rep, tol)
+        check = mt.morita_rescale_check(ring, chars[0], rep, 0, cert)
+        assert 0.0 < check.max_residual <= mt.DEFAULT_TOL and check.ok
+        shifted = dataclasses.replace(cert, trace=mt.ModuleTrace(cert.trace.d + 1e-6, cert.trace.anchor))
+        assert not mt.morita_rescale_check(ring, chars[0], rep, 0, shifted).ok
+
+
 def test_dim_a_equals_squared_trace_entry():
     for label, ring, char, rep in instance_universe(max_zn=5, with_sums=False):
         cert = mt.solve_module_trace(ring, char, rep)

@@ -1,10 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import modtrace as mt
-from helpers import NAMED_RINGS, ring_families
+from helpers import NAMED_RINGS, allocation_peak, ring_families
 
 
 def test_regular_module_z2_valid():
@@ -142,18 +140,6 @@ def test_fp_compatibility_on_indecomposables():
                 assert resid < 1e-8, (name, u, resid)
 
 
-def _peak(build) -> int:
-    """Bytes that ``build()`` allocated at its peak, above what was allocated before it."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        build()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_builders_hand_over_the_arrays_they_own():
     # the builders make N and M once and the constructors keep them: a zn:64 ring, its
     # regular module and a coset module each peak at about one g^3 tensor, not two
@@ -161,11 +147,11 @@ def test_builders_hand_over_the_arrays_they_own():
     tensor = 8 * g**3
     ring = mt.builtin(f"zn:{g}")[0]
     table = mt.cyclic_table(g)
-    assert _peak(lambda: mt.builtin(f"zn:{g}")) < 1.5 * tensor
-    assert _peak(lambda: mt.regular_module(ring)) < 1.2 * tensor
-    assert _peak(lambda: mt.vect_g_module(table, (0,))) < 2.2 * tensor  # M and the ring, which the table holds weakly
+    assert allocation_peak(lambda: mt.builtin(f"zn:{g}")) < 1.5 * tensor
+    assert allocation_peak(lambda: mt.regular_module(ring)) < 1.2 * tensor
+    assert allocation_peak(lambda: mt.vect_g_module(table, (0,))) < 2.2 * tensor  # M and the ring, which the table holds weakly
     reg = mt.regular_module(ring)
-    assert _peak(lambda: mt.direct_sum(reg, reg)) < 4.2 * tensor  # M of rank 2g is four tensors
+    assert allocation_peak(lambda: mt.direct_sum(reg, reg)) < 4.2 * tensor  # M of rank 2g is four tensors
 
 
 def test_a_callers_array_is_copied_and_stays_writable():

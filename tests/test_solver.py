@@ -15,6 +15,7 @@ from helpers import (
     PHI,
     ROOT2,
     abelian_tables_up_to,
+    allocation_peak,
     diagnostics_bruteforce,
     dimension_matrix_reference,
     fp_module_trace,
@@ -846,6 +847,18 @@ def test_verdict_path_memory_is_linear_in_the_module():
     finally:
         tracemalloc.stop()
     assert cert.matched and peak <= 4 * 16 * 64 * 64, peak
+
+
+@pytest.mark.parametrize("g", [32, 64])
+def test_output_memory_is_linear_in_the_module(g):
+    # to_dict forms Q from its diagonal and column products, over (n, k) operands: O(nk + k^2)
+    # bytes, where a complex copy of M would take 16 n k^2
+    ring, chars = mt.builtin(f"zn:{g}")
+    cert = mt.solve_module_trace(ring, chars[5], mt.regular_module(ring))
+    fib, golden, _, reg = fib_setup()
+    mt.solve_module_trace(fib, golden, reg).to_dict()  # loads the layers before the count
+    n = k = g
+    assert allocation_peak(cert.to_dict) <= 8 * 16 * (n * k + k * k)
 
 
 def test_nan_at_the_first_entry_takes_the_full_path():

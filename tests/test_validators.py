@@ -11,6 +11,7 @@ from modtrace.fusion import pointed_table
 from helpers import (
     NAMED_RINGS,
     abelian_tables_up_to,
+    allocation_peak,
     fusion_violations_reference,
     nimrep_violations_reference,
     typed_violations,
@@ -135,6 +136,20 @@ def test_ring_validation_memory_stays_cubic():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("g", [32, 64])
+def test_pointed_validation_peaks_at_the_composition_check(g):
+    # the group table and the permutations are read as N @ arange(n) and arange(k) @ M, so
+    # neither validator copies a whole tensor: the peak is _composes's two small copies and
+    # the mask of its comparison
+    built = mt.builtin(f"zn:{g}")[0]
+    fresh = mt.FusionRing(g, built.labels, built.unit, built.dual, built.N)  # no table yet
+    rep = mt.regular_module(built)
+    bound = 2 * fusion._composes_bytes(g, g)
+    assert allocation_peak(lambda: mt.validate_fusion_ring(fresh)) <= bound
+    assert pointed_table(fresh) is not None
+    assert allocation_peak(lambda: mt.validate_nimrep(rep)) <= bound
 
 
 # -- exactness guard: every float64 partial sum must stay below 2^53 ----------
