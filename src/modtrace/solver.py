@@ -5,8 +5,9 @@ The dimension matrix of a NIM-rep under a dimension character is ``Q[i][j] = sum
 with ``Q @ Q = dim(C) Q``, so ``Q / dim(C)`` is an orthogonal projection and ``rank Q = tr(Q) /
 dim(C)``.  A module trace exists precisely when ``Q`` has rank 1 with no zero entry; on a rank-1
 ``Q = d d^dagger`` an entry ``Q[i][j]`` is zero exactly when ``Q[i][i]`` or ``Q[j][j]`` is, so
-the verdict reads ``diag Q`` at O(nk); ``Q`` is stacked from O(nk) column products when read.  The
-trace vector, one column of ``Q``, is the nowhere-zero eigenvector for ``dim(C)``, normalised by
+the verdict reads ``diag Q``, one O(nk) product, and ``tr Q`` as its real sum; ``Q`` is stacked
+from O(nk) column products when read, their last bits as the BLAS kernel sums them.  The trace
+vector, one column of ``Q``, is the nowhere-zero eigenvector for ``dim(C)``, normalised by
 ``sum |d_M|^2 = dim(C)`` with a real-positive anchor at the largest diagonal entry; it is a left
 eigenvector for ``C = sum_a d(a)^2``, which is ``dim(C)`` for spherical characters and else 0.
 """
@@ -27,46 +28,29 @@ from .nimrep import NimRep
 
 
 def dimension_matrix(char: DimChar, rep: NimRep) -> np.ndarray:
-    """The read-only ``Q = sum_u d(u) M_u``, a new array whose column ``j`` is :func:`_column`, its
-    diagonal from :func:`_diagonal_product`: the certificate's bit for bit, and no copy of ``M``."""
+    """The read-only ``Q = sum_u d(u) M_u``, a new array stacked from the columns of
+    :func:`_column`: the certificate's ``diagonal`` and ``column(j)`` by construction."""
     if char.ring is not rep.ring and char.ring != rep.ring:
         raise StructuralError("ring references of character and module disagree")
-    diagonal = _diagonal_product(char, rep)[-rep.module_rank:]
+    diagonal = _diagonal_product(char, rep)
     q = np.stack([_column(char, rep, j, diagonal) for j in range(len(diagonal))], axis=1)
     q.setflags(write=False)
     return q
 
 
-def _layout(cols: np.ndarray, tail: bool = False, lead: int = 0) -> np.ndarray:
-    """``k`` columns of ``M`` as the operand of an O(nk) product, its outputs the last ``k``.
-    OpenBLAS's complex matrix-vector kernels compute the last ``m % 4`` of ``m`` outputs in a
-    scalar loop that rounds differently; the layout keeps each entry of ``Q`` on its loop, the
-    vector loop but for ``Q[k-1][k-1]`` of an odd ``k`` (``tail``: the last of ``cols``), as in
-    the one product ``d @ M.reshape(n, k*k)``.  Zero columns in front, at least ``lead`` of
-    them, give every entry its loop; each output reads its own column."""
-    n, k = cols.shape
-    width = (lead + k - tail + 3) // 4 * 4 + tail
-    layout = np.zeros((n, width), dtype=complex)
-    layout[:, width - k:] = cols
-    return layout
-
-
 def _diagonal_product(char: DimChar, rep: NimRep) -> np.ndarray:
-    """``tr Q`` first and ``diag Q`` last: one product over a layout kept with the module."""
-    layout = rep.__dict__.get("_diagonal_layout")
-    if layout is None:
-        M, k = rep.M, rep.module_rank
-        # at k = 1, Q is a dot product, not a matrix-vector one, and tr(Q) is Q[0][0]: no lead
-        layout = _layout(M.diagonal(0, 1, 2), k % 2 == 1, lead=int(k > 1))
-        layout[:, 0] = M.trace(axis1=1, axis2=2)
-        layout.flags.writeable = False
-        rep.__dict__["_diagonal_layout"] = layout
-    return char.d.dot(layout)
+    """``diag Q = d @ diag(M_u)``, over a read-only complex ``(n, k)`` copy kept with the module."""
+    diagonals = rep.__dict__.get("_diagonals")
+    if diagonals is None:
+        diagonals = rep.M.diagonal(0, 1, 2).astype(complex)
+        diagonals.flags.writeable = False
+        rep.__dict__["_diagonals"] = diagonals
+    return char.d.dot(diagonals)
 
 
 def _column(char: DimChar, rep: NimRep, j: int, diagonal: np.ndarray) -> np.ndarray:
-    """``Q[:, j]``: a product over a layout made for the call, its entry ``j`` from ``diagonal``."""
-    column = char.d.dot(_layout(rep.M[:, :, j]))[-len(diagonal):]
+    """``Q[:, j] = d @ M[:, :, j]``, a new array whose entry ``j`` is taken from ``diagonal``."""
+    column = char.d.dot(rep.M[:, :, j])
     column[j] = diagonal[j]
     return column
 
@@ -126,13 +110,13 @@ class TraceCertificate:
 
     @cached_property
     def diagonal(self) -> np.ndarray:
-        """``diag Q``, read-only, equal to the diagonal of :attr:`Q` bit for bit."""
-        diagonal = _diagonal_product(self.char, self.rep)[-self.rep.module_rank:]
+        """``diag Q``, read-only; the diagonal of :attr:`Q` and of every :meth:`column`."""
+        diagonal = _diagonal_product(self.char, self.rep)
         diagonal.flags.writeable = False
         return diagonal
 
     def column(self, j: int) -> np.ndarray:
-        """``Q[:, j]``, a new array equal to that column of :attr:`Q` bit for bit, at O(nk)."""
+        """``Q[:, j]``, a new array at O(nk), its entry ``j`` from :attr:`diagonal`."""
         return _column(self.char, self.rep, j, self.diagonal)
 
     @cached_property
@@ -169,7 +153,7 @@ class TraceCertificate:
     def diagnostics(self) -> tuple[str, ...]:
         """Every test that fails, in this order: the rank, a zero entry, a zero diagonal (or rank 0)."""
         real, scale, tol = self.diagonal.real, self.scale, self.tol
-        rank = _rank(_diagonal_product(self.char, self.rep).item(0).real, self.dim_c)
+        rank = _rank(real.sum(), self.dim_c)
         diagnostics = ("rank exceeds 1",) if rank == 2 else ()
         if negligible(self.min_entry, scale, tol):
             diagnostics += ("zero entry in Q",)
@@ -225,7 +209,7 @@ def solve_module_trace(
 ) -> TraceCertificate:
     """Decide module-trace existence and extract the trace dimension vector.
 
-    The solve forms ``diag Q = d @ diag(M_u)`` (and ``tr Q`` in the same product) and the
+    The solve forms ``diag Q = d @ diag(M_u)`` (and ``tr Q`` as its real sum) and the
     anchor column ``Q[:, p]`` at the largest diagonal entry ``p``, and no other entry of
     ``Q``.  By :func:`~modtrace.common.negligible`, in this order, it is unmatched when
 
@@ -242,19 +226,17 @@ def solve_module_trace(
     """
     if rep.ring is not ring and rep.ring != ring or char.ring is not ring and char.ring != ring:
         raise StructuralError("ring references of character and module disagree")
-    k = rep.module_rank
-    product = _diagonal_product(char, rep)
-    if negligible(abs(product.item(-k)), 0.0, tol):
+    diagonal = _diagonal_product(char, rep)
+    if negligible(abs(diagonal.item(0)), 0.0, tol):
         # min_entry <= |Q[0][0]| <= tol <= tol * max(1, scale): a zero entry
         return TraceCertificate(False, char, rep, None, tol)
-    diagonal = product[-k:]
     diagonal.flags.writeable = False
     mag = np.abs(diagonal)
     scale = mag.item(mag.argmax())
     trace = None
-    rank = _rank(product.item(0).real, global_dimension(char))
+    real = diagonal.real
+    rank = _rank(real.sum(), global_dimension(char))
     if not negligible(mag.item(mag.argmin()), scale, tol) and rank == 1:
-        real = diagonal.real
         p = int(real.argmax())
         column = _column(char, rep, p, diagonal)
         mag = np.abs(column)

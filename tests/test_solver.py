@@ -176,6 +176,13 @@ def test_op_records_equal_their_definitions_bit_for_bit():
         minors = np.abs(q[r, s] * q - q[:, s, None] * q[r])
         assert cert.diagonal.tobytes() == q.diagonal().tobytes(), label
         assert all(cert.column(j).tobytes() == q[:, j].tobytes() for j in range(len(q))), label
+        # each is one plain product, with the numpy call of its definition
+        diagonal = char.d.dot(rep.M.diagonal(0, 1, 2).astype(complex))
+        assert cert.diagonal.tobytes() == diagonal.tobytes(), label
+        for j in range(len(q)):
+            column = char.d.dot(rep.M[:, :, j])
+            column[j] = diagonal[j]
+            assert cert.column(j).tobytes() == column.tobytes(), (label, j)
         scale = np.abs(q.diagonal()).max()
         assert (cert.scale, cert.min_entry, cert.max_minor) == (scale, mag.min(), minors.max()), label
         diagnostics = cert.diagnostics
