@@ -83,7 +83,9 @@ def builtin(name: str) -> tuple[FusionRing, list[DimChar]]:
 
     The character list matches :func:`modtrace.chars.enumerate_characters` in
     content and order; candidates with a zero entry (such as the hook
-    character of the ``rep_s3`` ring) are excluded.
+    character of the ``rep_s3`` ring) are excluded.  ``zn:<n>`` peaks within ``8 * n^3 + 10 *
+    16 * n^2 + 8192 * n`` bytes: its ``N``, made once, and its characters, listed as on the
+    pointed route of :func:`~modtrace.chars.enumerate_characters`, beside the group's tables.
     """
     if name in _NAMED_RINGS:
         labels, products, rows = _NAMED_RINGS[name]

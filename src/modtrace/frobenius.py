@@ -11,7 +11,7 @@ specialness constants under the normalisation ``beta_1 = dim(A)``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,12 +42,10 @@ def inner_hom_multiplicities(rep: NimRep, i: int, j: int) -> np.ndarray:
     return rep.M[:, i, j]  # a view: rep.M is read-only
 
 
-def _module_diagonal(rep: NimRep, certificate: TraceCertificate) -> np.ndarray:
-    """The certificate's ``diag Q``, refused unless it has the length ``k`` of ``rep``'s."""
-    diagonal, k = certificate.diagonal, rep.module_rank
-    if len(diagonal) != k:
-        raise StructuralError(f"certificate of a rank-{len(diagonal)} module given for rank {k}")
-    return diagonal
+def _require_own(char: DimChar, rep: NimRep, certificate: TraceCertificate) -> None:
+    """Refuse a certificate of another character (by identity) or module (identity, else ``==``)."""
+    if certificate.char is not char or certificate.rep is not rep and certificate.rep != rep:
+        raise StructuralError("certificate of another character or module")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -58,14 +56,12 @@ class FrobeniusReport:
     multiplicities: np.ndarray  #: multiplicity of each ring simple in <m, m>
     dim_a: float
     haploid: bool
-    positivity_ok: bool
+    positivity_ok: bool = field(init=False)  #: ``dim_a > 0``
 
-    def __init__(self, object_index, multiplicities, dim_a, haploid, positivity_ok):
+    def __init__(self, object_index, multiplicities, dim_a, haploid):
         # one dict update instead of the frozen dataclass's setattr per field
-        self.__dict__.update({
-            "object_index": object_index, "multiplicities": multiplicities, "dim_a": dim_a,
-            "haploid": haploid, "positivity_ok": positivity_ok,
-        })
+        self.__dict__.update(object_index=object_index, multiplicities=multiplicities, dim_a=dim_a,
+                             haploid=haploid, positivity_ok=dim_a > 0.0)
 
     __setstate__ = readonly_setstate
 
@@ -93,14 +89,16 @@ def frobenius_report(
     ``dim(A) = Q[m][m]``, from the certificate's diagonal, and haploidity (unit multiplicity
     one, at the unit of ``rep.ring``) holds by the unit axiom; positivity of ``dim(A)`` is the
     trace-existence obstruction visible on the diagonal; a ``dim(A)`` negligible at the
-    certificate's ``scale`` reads 0.  A certificate of another module raises ``StructuralError``.
+    certificate's ``scale`` and ``tol`` floored at :data:`DEFAULT_TOL`, as ``Q`` is rounded,
+    reads 0.  A certificate of another character or module raises ``StructuralError``.
     """
+    _require_own(char, rep, certificate)
     if not is_indecomposable(rep):
         raise UnsupportedError("Frobenius report needs an indecomposable module")
     mults = inner_hom_multiplicities(rep, m, m)
-    q_mm = _module_diagonal(rep, certificate).item(m)
-    dim_a = 0.0 if negligible(abs(q_mm), certificate.scale, certificate.tol) else q_mm.real
-    return FrobeniusReport(m, mults, dim_a, mults.item(rep.ring.unit) == 1, dim_a > 0.0)
+    q_mm = certificate.diagonal.item(m)
+    dusty = negligible(abs(q_mm), certificate.scale, max(certificate.tol, DEFAULT_TOL))
+    return FrobeniusReport(m, mults, 0.0 if dusty else q_mm.real, mults.item(rep.ring.unit) == 1)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -139,13 +137,13 @@ def morita_rescale_check(
     collapses to ``conj(d_M[m])``, so the identity is the anchor-column reconstruction of column
     ``m`` of ``Q``; ``ok`` when its residual is negligible at the certificate's ``scale`` and
     ``tol`` floored at :data:`DEFAULT_TOL`, as ``d_M`` is rounded.  A certificate of another
-    module raises ``StructuralError``.
+    character or module raises ``StructuralError``.
     """
+    _require_own(char, rep, certificate)
     if not certificate.matched:
         raise PreconditionError("Morita rescale check requires a matched certificate")
-    k = len(_module_diagonal(rep, certificate))
-    if not 0 <= m < k:
-        raise StructuralError(f"object index {m} out of range for rank {k}")
+    if not 0 <= m < rep.module_rank:
+        raise StructuralError(f"object index {m} out of range for rank {rep.module_rank}")
     d, column = certificate.trace.d, certificate.column(m)
     # numpy's complex division, not Python's: the two differ in the last bit
     scale = complex(column[m] / d[m])

@@ -15,7 +15,7 @@ eigenvector for ``C = sum_a d(a)^2``, which is ``dim(C)`` for spherical characte
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
 
@@ -86,22 +86,22 @@ class TraceCertificate:
     """Outcome of the module-trace existence test for one (char, rep) pair.
 
     ``diagonal`` (``diag Q``), ``scale``, ``Q``, ``min_entry``, ``max_minor``, ``diagnostics``
-    and ``residuals`` are derived from the five fields on first read and kept in ``__dict__``
+    and ``residuals`` are derived from the fields on first read and kept in ``__dict__``
     (the solve stores those it has computed), so a ``dataclasses.replace`` copy derives its own;
     ``dim_c``, ``c`` and :attr:`spherical_by_c` are read on each access.  ``diagonal``, ``scale``
     and :meth:`column` cost O(nk); the others form ``Q``, and :meth:`to_dict` peaks within
     ``8 * 16 * (n*k + k^2)`` bytes.
     """
 
-    matched: bool
+    matched: bool = field(init=False)  #: ``trace is not None``
     char: DimChar
     rep: NimRep
     trace: ModuleTrace | None
     tol: float  #: the tolerance of the verdict; not emitted by :meth:`to_dict`
 
-    def __init__(self, matched, char, rep, trace, tol):
+    def __init__(self, char, rep, trace, tol):
         # one dict update instead of the frozen dataclass's setattr per field
-        self.__dict__.update({"matched": matched, "char": char, "rep": rep, "trace": trace, "tol": tol})
+        self.__dict__.update(matched=trace is not None, char=char, rep=rep, trace=trace, tol=tol)
 
     __setstate__ = readonly_setstate
 
@@ -229,7 +229,7 @@ def solve_module_trace(
     diagonal = _diagonal_product(char, rep)
     if negligible(abs(diagonal.item(0)), 0.0, tol):
         # min_entry <= |Q[0][0]| <= tol <= tol * max(1, scale): a zero entry
-        return TraceCertificate(False, char, rep, None, tol)
+        return TraceCertificate(char, rep, None, tol)
     diagonal.flags.writeable = False
     mag = np.abs(diagonal)
     scale = mag.item(mag.argmax())
@@ -244,7 +244,7 @@ def solve_module_trace(
             d = column / math.sqrt(real.item(p))
             d.flags.writeable = False
             trace = ModuleTrace(d, p)
-    cert = TraceCertificate(trace is not None, char, rep, trace, tol)
+    cert = TraceCertificate(char, rep, trace, tol)
     found = cert.__dict__  # item stores: cheaper than a dict update
     found["diagonal"], found["scale"] = diagonal, scale
     if trace is not None:
@@ -254,11 +254,14 @@ def solve_module_trace(
 
 @dataclass(frozen=True, eq=False)
 class MatchedReport:
-    """Per-module certificates plus the aggregate flexibility flag."""
+    """Per-module certificates plus the aggregate flexibility flag, set when all are matched."""
 
     certificates: tuple[TraceCertificate, ...]
-    flexible: bool
+    flexible: bool = field(init=False)
     note: ClassVar[str] = "flexible relative to the supplied module list only"
+
+    def __post_init__(self):
+        object.__setattr__(self, "flexible", all(c.matched for c in self.certificates))
 
     def to_dict(self) -> dict:
         return {
@@ -272,5 +275,4 @@ def matched_report(char: DimChar, reps: list[NimRep], tol: float = DEFAULT_TOL) 
     """Run the trace test over a list of modules; flexible = all matched."""
     if not reps:
         raise StructuralError("matched_report requires at least one module")
-    certs = tuple(solve_module_trace(char.ring, char, rep, tol) for rep in reps)
-    return MatchedReport(certs, all(c.matched for c in certs))
+    return MatchedReport(tuple(solve_module_trace(char.ring, char, rep, tol) for rep in reps))

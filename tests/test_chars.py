@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +11,16 @@ from helpers import (
     PHI,
     ROOT2,
     abelian_tables_up_to,
+    allocation_peak,
     enumerate_characters_reference,
     group_characters_reference,
     su2_characters,
     su2_ring,
 )
-from modtrace import files
+from modtrace import files, fusion
 from modtrace.chars import (
     ENUMERATION_RETRIES,
+    _CHECK_BYTES,
     _descending,
     _eigh_characters,
     _linear_characters,
@@ -523,15 +524,17 @@ def test_enumerate_rep_s3_drops_the_hook():
     assert [ch.d.tolist() for ch in got] == [[1, 1, 2], [1, 1, -1]]
 
 
-def test_enumeration_memory_is_linear_in_candidates_times_rank():
-    # the multiplicativity check runs one first index at a time; comparing
-    # all (m, n, n) products at once would peak at about 3 MB here
-    ring = mt.group_ring(mt.cyclic_table(32))
-    mt.enumerate_characters(ring)
-    tracemalloc.start()
-    try:
-        mt.enumerate_characters(ring)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000, peak
+@pytest.mark.parametrize("n", [32, 64])
+def test_character_layers_peak_within_their_byte_formulas(n):
+    # the formulas written in enumerate_characters and builtin: the pointed route on zn:<n> with
+    # and without its table memo, the numeric route on SU(2)_{n-1}, and builtin zn:<n>
+    mt.builtin("zn:4"), mt.enumerate_characters(su2_ring(3))  # loads the layers before the count
+    built = mt.builtin(f"zn:{n}")[0]
+    fresh = mt.FusionRing(n, built.labels, built.unit, built.dual, built.N)
+    su2 = su2_ring(n - 1)
+    pointed = 8 * 16 * n**2 + 8192 * n
+    assert allocation_peak(lambda: mt.enumerate_characters(built)) <= pointed
+    assert allocation_peak(lambda: mt.enumerate_characters(fresh)) <= max(pointed, 2 * fusion._composes_bytes(n, n))
+    assert pointed_table(fresh) is not None and pointed_table(su2) is None
+    assert allocation_peak(lambda: mt.enumerate_characters(su2)) <= 4 * 8 * n**3 + 16 * _CHECK_BYTES + 16 * 16 * n**2
+    assert allocation_peak(lambda: mt.builtin(f"zn:{n}")) <= 8 * n**3 + 10 * 16 * n**2 + 8192 * n

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -504,6 +505,20 @@ def test_malformed_input_exits_2_with_one_line(case, fib_dir, z2_dir, tmp_path):
     assert code == 2, (out, err)
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["1e300", "1e400", "NaN"])
+def test_character_file_with_a_huge_entry_exits_2_with_one_line(entry, fib_dir):
+    # the character checks overflow to inf and nan silently: the value fails its check
+    path = fib_dir / "huge.json"
+    path.write_text((fib_dir / "char-00.json").read_text().replace("[1.0, 0.0]", f"[{entry}, 0.0]", 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(
+            "trace", str(fib_dir / "ring.json"), "--char", str(path), "--module", str(fib_dir / "module-regular.json")
+        )
+    assert (code, out, caught) == (2, "", []), err
+    assert err.count("\n") == 1 and "invalid character" in err, err
 
 
 def _group_ring_invocations(d, group, order):

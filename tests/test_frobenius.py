@@ -148,18 +148,27 @@ def test_morita_rescale_requires_matched():
 
 
 def test_reports_refuse_another_modules_certificate():
-    # on Z4 both the regular module and the coset module of {0, 2} are matched for the
-    # trivial character; neither certificate may stand in for the other
-    table = mt.cyclic_table(4)
-    ring = mt.group_ring(table)
-    trivial = mt.group_characters(table)[0]
+    # a matched certificate may not stand in for another module or character: on Z4 the
+    # regular module and the coset module of {0, 2} for the trivial character (ranks 4 and
+    # 2); on Z2xZ2 under (1, 1, -1, -1) the coset module of {0, 1} for that of {0, 2}, both of
+    # rank 2, where the latter is unmatched with dim(A) 0; and on Z4 the trivial character's
+    # certificate under each other character
+    table, klein = mt.cyclic_table(4), mt.builtin_group("Z2xZ2")
+    ring, klein_ring = mt.group_ring(table), mt.group_ring(klein)
+    chars, sign = mt.group_characters(table), mt.group_characters(klein)[1]
+    assert np.array_equal(sign.d, [1, 1, -1, -1])
     regular, coset = mt.vect_g_module(table, (0,)), mt.vect_g_module(table, (0, 2))
-    for rep, other, m in ((coset, regular, 1), (regular, coset, 3)):
-        cert = mt.solve_module_trace(ring, trivial, other)
+    cases = [
+        (ring, chars[0], coset, regular, chars[0], 1),
+        (ring, chars[0], regular, coset, chars[0], 3),
+        (klein_ring, sign, mt.vect_g_module(klein, (0, 2)), mt.vect_g_module(klein, (0, 1)), sign, 1),
+    ] + [(ring, char, rep, rep, chars[0], 1) for char in chars[1:] for rep in (regular, coset)]
+    for ring, char, rep, other, other_char, m in cases:
+        cert = mt.solve_module_trace(ring, other_char, other)
         assert cert.matched
         for report in (mt.frobenius_report, mt.morita_rescale_check):
             with pytest.raises(mt.StructuralError, match="certificate"):
-                report(ring, trivial, rep, m, cert)
+                report(ring, char, rep, m, cert)
 
 
 def test_reports_decide_at_the_certificate_tolerance():
@@ -175,9 +184,9 @@ def test_reports_decide_at_the_certificate_tolerance():
     for tol, negligible in ((mt.DEFAULT_TOL, False), (1e-3, True)):
         shifted = dataclasses.replace(cert, trace=off, tol=tol)
         assert mt.morita_rescale_check(ring, char, rep, 1, shifted).ok is negligible
-        dusty = dataclasses.replace(cert, matched=False, char=dust, trace=None, tol=tol)
-        assert dusty.Q[0, 0] == 1e-6
-        report = mt.frobenius_report(ring, char, rep, 0, dusty)
+        dusty = dataclasses.replace(cert, char=dust, trace=None, tol=tol)
+        assert dusty.Q[0, 0] == 1e-6 and not dusty.matched
+        report = mt.frobenius_report(ring, dust, rep, 0, dusty)
         assert report.dim_a == (0.0 if negligible else 1e-6)
         assert report.positivity_ok is not negligible
 

@@ -718,6 +718,48 @@ def test_certificate_has_five_fields_and_derives_the_rest():
         assert set(vars(cert)) == set(_FIELDS) | stored[label], label  # repr computes nothing
 
 
+def test_records_set_the_flags_their_fields_decide():
+    # matched is trace is not None, positivity_ok is dim_a > 0 and flexible is all matched:
+    # neither a constructor nor dataclasses.replace takes them
+    ring, golden, _, reg = fib_setup()
+    cert = mt.solve_module_trace(ring, golden, reg)
+    report = mt.frobenius_report(ring, golden, reg, 1, cert)
+    matched = mt.matched_report(golden, [reg])
+    unmatched = dataclasses.replace(cert, trace=None)
+    assert cert.matched and report.positivity_ok and matched.flexible
+    assert not unmatched.matched and repr(unmatched).startswith("TraceCertificate(matched=False, ")
+    assert not dataclasses.replace(report, dim_a=0.0).positivity_ok
+    assert not dataclasses.replace(matched, certificates=(cert, unmatched)).flexible
+    assert mt.MatchedReport((cert,)).flexible
+    for record, flag in ((cert, "matched"), (report, "positivity_ok"), (matched, "flexible")):
+        with pytest.raises(ValueError, match=flag):
+            dataclasses.replace(record, **{flag: True})
+    for build in (
+        lambda: mt.TraceCertificate(True, golden, reg, cert.trace, cert.tol),
+        lambda: mt.TraceCertificate(golden, reg, cert.trace, cert.tol, matched=True),
+        lambda: mt.FrobeniusReport(1, report.multiplicities, 1.0, True, True),
+        lambda: mt.FrobeniusReport(1, report.multiplicities, 1.0, True, positivity_ok=True),
+        lambda: mt.MatchedReport((cert,), True),
+        lambda: mt.MatchedReport((cert,), flexible=True),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_frobenius_records_at_exact_tolerance_equal_those_at_the_default():
+    # dim(A) is a rounded Q[m][m]: at tol = 0 a dust entry still reads 0, and so does positivity
+    records = 0
+    for label, ring, char, rep, _ in _oracle_inputs():
+        if not mt.is_indecomposable(rep):
+            continue
+        exact, default = (mt.solve_module_trace(ring, char, rep, tol) for tol in (0.0, mt.DEFAULT_TOL))
+        for m in range(rep.module_rank):
+            got = mt.frobenius_report(ring, char, rep, m, exact).to_dict()
+            assert got == mt.frobenius_report(ring, char, rep, m, default).to_dict(), (label, m)
+            records += 1
+    assert records > 10000
+
+
 def test_certificate_copies_read_the_same_derived_values():
     for label, build in _one_path_certificates():
         for read_first in (False, True):
@@ -898,7 +940,7 @@ def test_pickled_records_stay_read_only():
     assert twin.matched and twin.diagnostics == ()
     # a copy of a hand-built record gets a read-only view and leaves the given array as it was
     writable = np.ones(2, dtype=int)
-    shallow = copy.copy(mt.FrobeniusReport(0, writable, 1.0, True, True))
+    shallow = copy.copy(mt.FrobeniusReport(0, writable, 1.0, True))
     assert not shallow.multiplicities.flags.writeable and writable.flags.writeable
 
 
