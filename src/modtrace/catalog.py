@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -32,16 +33,22 @@ _NAMED_RINGS = {
 
 
 def s3_table() -> GroupTable:
-    """The symmetric group on three points; elements are one-line strings."""
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    index = {p: i for i, p in enumerate(perms)}
-    mul = np.empty((6, 6), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            composed = tuple(p[q[x]] for x in range(3))
-            mul[i, j] = index[composed]
-    labels = tuple("".join(map(str, p)) for p in perms)
-    return GroupTable(6, mul, labels)
+    """The symmetric group on three points; elements are one-line strings in lexicographic order.
+
+    A group by construction: its table is composed from the permutations and handed over,
+    with identity ``012`` and inverses, unchecked.
+    """
+    perms = np.array(list(itertools.permutations(range(3))))
+
+    def index(images):  # of the listed permutation equal to each row of ``images``
+        return (images[..., None, :] == perms).all(axis=-1).argmax(axis=-1)
+
+    mul = index(perms[:, perms])  # [i, j, x] = p_i(p_j(x))
+    inverse = index(perms.argsort(axis=1))
+    mul.flags.writeable = False
+    inverse.flags.writeable = False
+    labels = tuple("".join(map(str, p)) for p in perms.tolist())
+    return GroupTable._of_group(mul, labels, 0, inverse)
 
 
 _NAMED_GROUPS = {"S3": s3_table, "Z2xZ2": lambda: direct_product(cyclic_table(2), cyclic_table(2))}

@@ -39,7 +39,17 @@ SUBGROUP_ORDER_BOUND = 64
 
 @dataclass(frozen=True, eq=False)
 class GroupTable:
-    """Multiplication table of a finite group, validated on construction."""
+    """Multiplication table of a finite group.
+
+    ``GroupTable(order, mul, labels)`` checks the table it is given: the entries' range, that
+    every row and column is a permutation, and associativity, in O(g^3) time and
+    ``_composes_bytes(g, g)`` bytes; then it reads off the identity and the inverses.  Tables
+    from callers, from :func:`~modtrace.files.load_group` and from :func:`cyclic_table` are
+    checked so.  :func:`direct_product` and :func:`~modtrace.catalog.s3_table` build groups by
+    construction and hand theirs over, with identity and inverse, through :meth:`_of_group`.
+    :func:`cyclic_table` does not yet: its check's byte budget is what refuses an oversized
+    ``Z:<n>``.
+    """
 
     order: int
     mul: np.ndarray
@@ -80,6 +90,14 @@ class GroupTable:
                 raise StructuralError("label count does not match order")
             object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _of_group(cls, mul: np.ndarray, labels, identity: int, inverse: np.ndarray) -> GroupTable:
+        """The table of a group by construction, kept as handed over, unchecked: read-only int64
+        ``mul`` and ``inverse``, a tuple of labels or ``None``, and the identity's index."""
+        table = object.__new__(cls)
+        vars(table).update(order=len(mul), mul=mul, labels=labels, identity=identity, inverse=inverse)
+        return table
+
     def __getstate__(self) -> dict:
         # pickle refuses the weak reference of the group_ring memo; group_ring rebuilds it
         return {key: value for key, value in self.__dict__.items() if key != "_ring"}
@@ -116,16 +134,22 @@ def cyclic_table(n: int) -> GroupTable:
 
 
 def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
-    """Direct product; element ``(a, b)`` gets index ``a * |G2| + b``."""
+    """Direct product; element ``(a, b)`` gets index ``a * |G2| + b``.
+
+    A group by construction, so its table is handed over unchecked, in O(g^2) time and within
+    ``8 * g^2`` bytes of table, ``g = |G1| * |G2|``; that is the budget it is refused by.
+    """
     g1, g2 = t1.order, t2.order
     require_budget(8 * (g1 * g2) ** 2, "the direct product of groups of order %d and %d", g1, g2)
     # (a, b) * (c, d) = (ac, bd), indexed [a, b, c, d]
     mul = t1.mul[:, None, :, None] * g2 + t2.mul[None, :, None, :]
     mul = mul.reshape(g1 * g2, g1 * g2)
-    labels = tuple(
-        f"({t1.label(a)},{t2.label(b)})" for a in range(g1) for b in range(g2)
-    )
-    return GroupTable(g1 * g2, mul, labels)
+    inverse = (t1.inverse[:, None] * g2 + t2.inverse[None, :]).reshape(g1 * g2)
+    mul.flags.writeable = False
+    inverse.flags.writeable = False
+    left, right = ([t.label(a) for a in range(t.order)] for t in (t1, t2))
+    labels = tuple(f"({a},{b})" for a in left for b in right)
+    return GroupTable._of_group(mul, labels, t1.identity * g2 + t2.identity, inverse)
 
 
 def group_ring(table: GroupTable) -> FusionRing:

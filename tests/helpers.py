@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -195,6 +196,40 @@ def abelian_tables_up_to(max_order: int = 12):
             for n in factors[1:]:
                 table = mt.direct_product(table, mt.cyclic_table(n))
             tables.append(("x".join(f"Z{n}" for n in factors), table))
+    return tables
+
+
+def _partitions(k: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    largest = k if largest is None else largest
+    if k == 0:
+        return [()]
+    return [(p,) + rest for p in range(min(k, largest), 0, -1) for rest in _partitions(k - p, p)]
+
+
+def sweep_tables() -> list[tuple[str, mt.GroupTable]]:
+    """The 41 groups of the benchmark's catalog sweep, built as it builds them from
+    :func:`modtrace.builtin_group` and :func:`modtrace.direct_product`: each abelian group of
+    order <= 24 as a product of cyclic groups of prime-power order, ascending, then S3 x Z_n
+    for n <= 4."""
+    products = []
+    for order in range(1, 25):
+        per_prime, rest, p = [], order, 2
+        while rest > 1:
+            e = 0
+            while rest % p == 0:
+                rest, e = rest // p, e + 1
+            if e:
+                per_prime.append([[p**part for part in parts] for parts in _partitions(e)])
+            p += 1
+        for combo in itertools.product(*per_prime):
+            products.append([f"Z:{f}" for f in sorted(f for part in combo for f in part) or [1]])
+    products += [["S3"]] + [["S3", f"Z:{n}"] for n in (2, 3, 4)]
+    tables = []
+    for names in products:
+        table = mt.builtin_group(names[0])
+        for name in names[1:]:
+            table = mt.direct_product(table, mt.builtin_group(name))
+        tables.append(("x".join(name.replace(":", "") for name in names), table))
     return tables
 
 

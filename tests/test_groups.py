@@ -14,9 +14,11 @@ from modtrace.chars import _eigh_characters
 from modtrace.fusion import _composes_bytes
 from helpers import (
     abelian_tables_up_to,
+    allocation_peak,
     coset_matrices_reference,
     group_characters_reference,
     subgroups_reference,
+    sweep_tables,
 )
 
 
@@ -104,14 +106,17 @@ def test_group_ring_is_shared_per_table():
 
 
 def test_group_table_pickles_after_its_ring_is_built():
-    # the ring memo is a weak reference, which pickle refuses; it is left out and rebuilt
-    table = mt.cyclic_table(6)
-    ring = mt.group_ring(table)
-    twin = pickle.loads(pickle.dumps(table))
-    assert twin == table and "_ring" not in vars(twin)
-    assert not twin.mul.flags.writeable and not twin.inverse.flags.writeable
-    assert mt.group_ring(twin) == ring and mt.group_ring(twin) is mt.group_ring(twin)
-    assert mt.group_ring(table) is ring
+    # the ring memo is a weak reference, which pickle refuses; it is left out and rebuilt.
+    # The tables that direct_product and s3_table hand over pickle as a checked one does
+    for table in (mt.cyclic_table(6), mt.direct_product(s3_table(), mt.cyclic_table(4)), s3_table()):
+        ring = mt.group_ring(table)
+        twin = pickle.loads(pickle.dumps(table))
+        assert twin == table and "_ring" not in vars(twin)
+        assert (twin.labels, twin.identity) == (table.labels, table.identity)
+        assert np.array_equal(twin.inverse, table.inverse)
+        assert not twin.mul.flags.writeable and not twin.inverse.flags.writeable
+        assert mt.group_ring(twin) == ring and mt.group_ring(twin) is mt.group_ring(twin)
+        assert mt.group_ring(table) is ring
 
 
 def test_direct_product_table_by_definition():
@@ -250,6 +255,22 @@ def test_direct_product_is_refused_before_its_table_is_formed(monkeypatch):
     assert peak < 2**20
 
 
+def test_direct_product_builds_at_the_size_of_its_table():
+    # Z:30 x Z:30 is a group by construction: its 900 x 900 table (6,480,000 bytes) is built
+    # under the default budget, where the full check would compose 2,916,000,000 bytes
+    z30, g = mt.cyclic_table(30), 900
+    built = []
+    peak = allocation_peak(lambda: built.append(mt.direct_product(z30, z30)))
+    assert peak <= 2 * 8 * g**2
+    table, ids = built[0], np.arange(g)
+    assert table.order == g and table.labels[31] == "(g,g)"
+    assert (table.mul[table.identity] == ids).all() and (table.mul[:, table.identity] == ids).all()
+    assert (table.mul[ids, table.inverse] == table.identity).all()
+    assert np.array_equal(table.mul[::31, ::31], 31 * z30.mul)  # the diagonal copy of Z:30
+    with pytest.raises(mt.UnsupportedError, match="composing 900 maps of 900 points needs 2,916,000,000 bytes"):
+        mt.GroupTable(g, table.mul)
+
+
 def _reference_tables():
     s3 = s3_table()
     tables = abelian_tables_up_to(24)
@@ -259,6 +280,23 @@ def _reference_tables():
 
 
 REFERENCE_TABLES = _reference_tables()
+
+
+def test_handed_over_tables_equal_the_checked_tables():
+    # direct_product and s3_table build groups by construction and skip the check; each
+    # table equals the one the check derives from the same mul and labels
+    s3, sweep = mt.builtin_group("S3"), sweep_tables()
+    assert len(sweep) == 41
+    tables = sweep + REFERENCE_TABLES
+    tables += [("Z2xZ2", mt.builtin_group("Z2xZ2")), ("S3xS3", mt.direct_product(s3, s3))]
+    for name, table in tables:
+        checked = mt.GroupTable(table.order, table.mul.copy(), table.labels)
+        assert table.mul.dtype == table.inverse.dtype == np.int64, name
+        assert np.array_equal(table.mul, checked.mul), name
+        assert (table.labels, table.identity) == (checked.labels, checked.identity), name
+        assert type(table.order) is type(table.identity) is int, name
+        assert np.array_equal(table.inverse, checked.inverse), name
+        assert not (table.mul.flags.writeable or table.inverse.flags.writeable), name
 
 
 @pytest.mark.parametrize("table", [t for _, t in REFERENCE_TABLES], ids=[n for n, _ in REFERENCE_TABLES])

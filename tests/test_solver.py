@@ -643,6 +643,20 @@ def test_rank_diagnostic_reads_the_trace_at_any_tolerance():
     assert checked > 20
 
 
+def test_rank_branch_on_an_indecomposable_module_with_no_zero_in_q():
+    # Rep(Z3) as a module over Rep(S3), by restriction: M = (I, I, J - I).  Under (1, 1, -1)
+    # Q = 3I - J has no zero entry and rank 2, so the rank test alone rejects it
+    ring = mt.builtin("rep_s3")[0]
+    eye = np.eye(3, dtype=np.int64)
+    rep = mt.NimRep(ring, 3, [eye, eye, 1 - eye])
+    assert mt.validate_nimrep(rep).valid and mt.is_indecomposable(rep)
+    cert = mt.solve_module_trace(ring, mt.DimChar(ring, [1.0, 1.0, -1.0]), rep)
+    assert not cert.matched
+    assert cert.diagnostics == ("rank exceeds 1",)
+    assert cert.diagonal.tolist() == [2, 2, 2]
+    assert np.array_equal(cert.Q, 3 * eye - 1)
+
+
 def _z4_deferred():
     table = mt.cyclic_table(4)
     order_four = mt.group_characters(table)[1]

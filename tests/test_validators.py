@@ -136,6 +136,17 @@ def test_ring_validation_memory_stays_cubic():
         assert peak <= 5 * 8 * n**3, f"n = {n}: peak {peak / (8 * n**3):.2f} * 8n^3 bytes"
 
 
+def test_module_validation_memory_stays_cubic():
+    # the dense NIM-rep check on SU(2)_k's regular module holds M in float64 and the two
+    # products of one u, within the dense ring check's 5 * 8 * n^3 bytes
+    for k in (31, 63):
+        rep, n = mt.regular_module(su2_ring(k)), k + 1
+        reports = []
+        peak = allocation_peak(lambda: reports.append(mt.validate_nimrep(rep)))
+        assert reports[0].valid
+        assert peak <= 5 * 8 * n**3, f"n = {n}: peak {peak / (8 * n**3):.2f} * 8n^3 bytes"
+
+
 @pytest.mark.parametrize("g", [32, 64])
 def test_pointed_validation_peaks_at_the_composition_check(g):
     # the group table and the permutations are read as N @ arange(n) and arange(k) @ M, so
