@@ -9,7 +9,7 @@ import numpy as np
 
 from .chars import DimChar, _characters
 from .common import UsageError
-from .fusion import FusionRing
+from .fusion import FusionRing, _require_group_ring_budget
 from .groups import GroupTable, cyclic_table, direct_product, group_characters, group_ring
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -53,10 +53,10 @@ def s3_table() -> GroupTable:
 
 _NAMED_GROUPS = {"S3": s3_table, "Z2xZ2": lambda: direct_product(cyclic_table(2), cyclic_table(2))}
 
-#: Names accepted by :func:`builtin` (``zn:<n>`` works for any n >= 1).
+#: Names accepted by :func:`builtin` (``zn:<n>`` for 1 <= n <= 322: its ring within the budget).
 BUILTIN_RINGS = (*_NAMED_RINGS, "zn:<n>")
 
-#: Names accepted by :func:`builtin_group` (``Z:<n>`` works for any n >= 1).
+#: Names accepted by :func:`builtin_group` (``Z:<n>`` for 1 <= n <= 5792: its table within the budget).
 BUILTIN_GROUPS = ("Z:<n>", *_NAMED_GROUPS)
 
 
@@ -90,9 +90,10 @@ def builtin(name: str) -> tuple[FusionRing, list[DimChar]]:
 
     The character list matches :func:`modtrace.chars.enumerate_characters` in
     content and order; candidates with a zero entry (such as the hook
-    character of the ``rep_s3`` ring) are excluded.  ``zn:<n>`` peaks within ``8 * n^3 + 10 *
-    16 * n^2 + 8192 * n`` bytes: its ``N``, made once, and its characters, listed as on the
-    pointed route of :func:`~modtrace.chars.enumerate_characters`, beside the group's tables.
+    character of the ``rep_s3`` ring) are excluded.  ``zn:<n>`` is refused by its ring's
+    ``8 * n^3`` bytes before its table is formed, and peaks within ``8 * n^3 + 10 * 16 * n^2 +
+    8192 * n`` bytes: its ``N``, made once, and its characters, listed as on the pointed route
+    of :func:`~modtrace.chars.enumerate_characters`, beside the group's tables.
     """
     if name in _NAMED_RINGS:
         labels, products, rows = _NAMED_RINGS[name]
@@ -108,6 +109,7 @@ def builtin(name: str) -> tuple[FusionRing, list[DimChar]]:
         n = _cyclic_order(name, "cyclic order")
         if n < 1:
             raise UsageError("cyclic order must be positive")
+        _require_group_ring_budget(n)  # the ring is the largest step: refused before the table
         table = cyclic_table(n)
         return group_ring(table), group_characters(table)
     raise UsageError(f"unknown builtin ring {name!r} (available: {', '.join(BUILTIN_RINGS)})")

@@ -212,11 +212,16 @@ def _composes(mul: np.ndarray, act: np.ndarray) -> bool:
     return np.array_equal(small[mul], np.take(small, small, axis=1))  # [u, v, i]
 
 
+def _require_group_ring_budget(g: int) -> None:
+    """Refuse the ring of a group of order ``g`` from its ``8 * g^3`` bytes of ``N``."""
+    require_budget(8 * g**3, "the ring of a group of order %d", g)
+
+
 def _group_ring(mul: np.ndarray, labels, unit: int, dual: np.ndarray) -> FusionRing:
     """The ring of the group with read-only table ``mul``, identity ``unit`` and inverse
     ``dual``, with ``mul`` recorded as its :func:`pointed_table` rather than derived again."""
     g = len(mul)
-    require_budget(8 * g**3, "the ring of a group of order %d", g)
+    _require_group_ring_budget(g)
     N = np.zeros((g, g, g), dtype=np.int64)
     N[np.arange(g)[:, None], np.arange(g)[None, :], mul] = 1
     N.flags.writeable = False  # handed over: the ring keeps it without a copy

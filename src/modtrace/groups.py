@@ -17,6 +17,7 @@ on ``kappa`` and ``H``.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ from .common import (
     require_budget,
 )
 from .chars import DimChar, _pointed_characters
-from .fusion import FusionRing, _composes, _composes_bytes, _group_ring, _int_array
+from .fusion import FusionRing, _composes, _group_ring, _int_array
 from .nimrep import NimRep
 
 #: Largest group order accepted by the subgroup enumerator.
@@ -44,11 +45,10 @@ class GroupTable:
     ``GroupTable(order, mul, labels)`` checks the table it is given: the entries' range, that
     every row and column is a permutation, and associativity, in O(g^3) time and
     ``_composes_bytes(g, g)`` bytes; then it reads off the identity and the inverses.  Tables
-    from callers, from :func:`~modtrace.files.load_group` and from :func:`cyclic_table` are
-    checked so.  :func:`direct_product` and :func:`~modtrace.catalog.s3_table` build groups by
-    construction and hand theirs over, with identity and inverse, through :meth:`_of_group`.
-    :func:`cyclic_table` does not yet: its check's byte budget is what refuses an oversized
-    ``Z:<n>``.
+    from callers and from :func:`~modtrace.files.load_group` are checked so.
+    :func:`cyclic_table`, :func:`direct_product` and :func:`~modtrace.catalog.s3_table` build
+    groups by construction and hand theirs over, with identity and inverse, through
+    :meth:`_of_group`, each refused by the bytes of its own table.
     """
 
     order: int
@@ -122,15 +122,29 @@ class GroupTable:
 
 
 def cyclic_table(n: int) -> GroupTable:
-    """The cyclic group of order ``n`` with exponent labels."""
+    """The cyclic group of order ``n`` with exponent labels, ``a * b = (a + b) mod n``.
+
+    A group by construction, so its table is handed over unchecked, in O(n^2) time: it is
+    refused by its ``8 * n^2`` bytes of table, copied from a strided view of ``2 * n``
+    residues, and peaks within ``8 * n^2 + 128 * n + 2048`` bytes with its labels, inverse and
+    array headers.  ``n`` must be a positive integer; a float is refused with
+    :class:`TypeError`.
+    """
     if n < 1:
         raise StructuralError("cyclic group order must be positive")
-    # the table's associativity check is its largest step
-    require_budget(_composes_bytes(n, n), "the cyclic group of order %d", n)
-    idx = np.arange(n)
-    mul = (idx[:, None] + idx[None, :]) % n
+    if isinstance(n, bool):
+        raise StructuralError("order must be an integer array")
+    n = operator.index(n)
+    require_budget(8 * n * n, "the cyclic group of order %d", n)
+    cycle = np.arange(2 * n, dtype=np.int64)
+    cycle[n:] -= n  # the residues (a + b) mod n for a + b < 2 * n
+    # row a is cycle[a : a + n], so mul[a, b] = cycle[a + b]
+    mul = np.ndarray((n, n), np.int64, cycle, strides=cycle.strides * 2).copy()
+    inverse = cycle[n:0:-1].copy()  # -a mod n
+    mul.flags.writeable = False
+    inverse.flags.writeable = False
     labels = ["e"] + [f"g{k}" if k > 1 else "g" for k in range(1, n)]
-    return GroupTable(n, mul, tuple(labels))
+    return GroupTable._of_group(mul, tuple(labels), 0, inverse)
 
 
 def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:

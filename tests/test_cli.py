@@ -7,9 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import modtrace as mt
-from modtrace import files
+from modtrace import common, files
 from modtrace.cli import run
 from helpers import PHI, saved_text_reference
 
@@ -362,9 +364,14 @@ def test_nonpositive_cyclic_order_exits_2(order):
     )
 
 
-@pytest.mark.parametrize("argv", [["builtin", "zn:5000"], ["vectg", "--group", "Z:5000"]])
+@pytest.mark.parametrize("argv", [["builtin", "zn:5000"], ["vectg", "--group", "Z:5793"]])
 def test_oversized_cyclic_order_is_refused_before_allocating(argv):
-    # checking the table's associativity would form two 5000^3 arrays: 500 GB
+    # zn:5000 always builds its ring, a 5000^3 int64 tensor (1 TB), so it is refused before its
+    # table; Z:5793 is the first cyclic group whose own 5793^2 int64 table is over the budget
+    needs = {
+        "builtin": "the ring of a group of order 5000 needs 1,000,000,000,000 bytes",
+        "vectg": "the cyclic group of order 5793 needs 268,470,792 bytes",
+    }[argv[0]]
     assert invoke("builtin", "zn:2")[0] == 0  # loads the layers, so the peak is the refusal's
     tracemalloc.start()
     try:
@@ -373,8 +380,63 @@ def test_oversized_cyclic_order_is_refused_before_allocating(argv):
     finally:
         tracemalloc.stop()
     assert (code, out) == (2, "")
-    assert err == "error: the cyclic group of order 5000 needs 500,000,000,000 bytes, over the budget of 268,435,456\n"
+    assert err == f"error: {needs}, over the budget of 268,435,456\n"
     assert peak < 2**20
+
+
+# the largest cyclic order within the byte budget: Z:<n> builds its 8 * n^2 byte table, and
+# zn:<n> its 8 * n^3 byte ring
+CYCLIC_BOUNDS = {"Z:": 5_792, "zn:": 322}
+MALFORMED_ORDERS = ["1_000", "6_000", " 7", "7 ", "", "+4", "-0", "1.5", "1e3", "0x10", "x", "\u0663", "5" * 5_000]
+
+
+def test_cyclic_bounds_are_the_largest_orders_within_the_budget():
+    for prefix, power in (("Z:", 2), ("zn:", 3)):
+        n = CYCLIC_BOUNDS[prefix]
+        assert 8 * n**power <= common.BYTE_BUDGET < 8 * (n + 1) ** power
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cyclic_orders_exit_0_or_refuse_in_one_line(data):
+    prefix = data.draw(st.sampled_from(["Z:", "zn:"]), "prefix")
+    bound = CYCLIC_BOUNDS[prefix]
+    order = data.draw(
+        st.one_of(
+            st.sampled_from(MALFORMED_ORDERS),
+            st.integers(max_value=0).map(str),
+            st.integers(1, 64).map(str),
+            st.integers(min_value=bound + 1).map(str),
+        ),
+        "order",
+    )
+    try:
+        n = int(order)  # as the CLI reads it
+    except ValueError:
+        n = None
+    # Z:65 to Z:5792 are accepted, with tables of up to 268 MB
+    assume(not (prefix == "Z:" and n is not None and 64 < n <= bound))
+    if prefix == "Z:":
+        flags = data.draw(st.lists(st.sampled_from(["--json", "--subgroups", "--characters"]), unique=True))
+        argv = ["vectg", "--group", f"Z:{order}", *flags]
+    else:
+        argv = ["builtin", f"zn:{order}", *data.draw(st.sampled_from([[], ["--json"]]))]
+    refused = n is None or not 1 <= n <= bound
+    assert invoke("vectg", "--group", "Z:2", "--characters")[0] == 0  # the layers are loaded
+    if refused:
+        tracemalloc.start()
+    try:
+        code, out, err = invoke(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "Traceback" not in out + err
+    assert code == (2 if refused else 0)
+    if refused:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert peak < 2**20
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize(

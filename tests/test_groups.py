@@ -222,16 +222,20 @@ def test_subgroups_bound():
 
 
 def test_byte_budget_is_checked_at_each_group_step(monkeypatch):
-    # Z:16 composes two 16^3 arrays of 1 byte (8,192 bytes) and its ring is a 16^3 int64 tensor
-    # (32,768 bytes); a budget between the two admits the table and refuses the ring
+    # Z:16 is built as a 16^2 int64 table (2,048 bytes); checking that table composes two 16^3
+    # arrays of 1 byte (8,192 bytes), and its ring is a 16^3 int64 tensor (32,768 bytes).  Each
+    # budget in between admits one more step
     mul = mt.cyclic_table(16).mul
-    monkeypatch.setattr(common, "BYTE_BUDGET", 8_191)
-    with pytest.raises(mt.UnsupportedError, match="the cyclic group of order 16 needs 8,192 bytes"):
+    monkeypatch.setattr(common, "BYTE_BUDGET", 2_047)
+    with pytest.raises(mt.UnsupportedError, match="the cyclic group of order 16 needs 2,048 bytes"):
         mt.cyclic_table(16)
+    monkeypatch.setattr(common, "BYTE_BUDGET", 8_191)
+    assert mt.cyclic_table(16).order == 16  # built under a budget its check would exceed
     with pytest.raises(mt.UnsupportedError, match="composing 16 maps of 16 points needs 8,192 bytes"):
         mt.GroupTable(16, mul)
     monkeypatch.setattr(common, "BYTE_BUDGET", 8_192)
     table = mt.cyclic_table(16)
+    assert mt.GroupTable(16, mul) == table
     with pytest.raises(mt.UnsupportedError, match="the ring of a group of order 16 needs 32,768 bytes"):
         mt.group_ring(table)
     monkeypatch.setattr(common, "BYTE_BUDGET", 32_768)
@@ -271,6 +275,57 @@ def test_direct_product_builds_at_the_size_of_its_table():
         mt.GroupTable(g, table.mul)
 
 
+def test_cyclic_table_refuses_the_orders_its_check_refused():
+    # the orders accepted and refused as when each cyclic table went through GroupTable's check:
+    # a bool is not an integer order, and a float is not an index
+    for order in (0, -2, False):
+        with pytest.raises(mt.StructuralError, match="^cyclic group order must be positive$"):
+            mt.cyclic_table(order)
+    with pytest.raises(mt.StructuralError, match="^order must be an integer array$"):
+        mt.cyclic_table(True)
+    for order in (3.0, np.float64(2.0), np.True_):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            mt.cyclic_table(order)
+    for order in (np.int64(4), np.uint8(4), np.array(4)):
+        table = mt.cyclic_table(order)
+        assert type(table.order) is int and table == mt.cyclic_table(4)
+        assert table.labels == ("e", "g", "g2", "g3") and table.inverse.tolist() == [0, 3, 2, 1]
+
+
+def test_cyclic_table_builds_at_the_size_of_its_table(monkeypatch):
+    # the 300 x 300 int64 table is 720,000 bytes; checking it would compose 108,000,000
+    for n in (1, 64, 300):
+        assert allocation_peak(lambda: mt.cyclic_table(n)) <= 8 * n * n + 128 * n + 2048, n
+    assert _composes_bytes(300, 300) == 108_000_000
+    # one byte under its table, Z:300 is refused before any of it is allocated
+    monkeypatch.setattr(common, "BYTE_BUDGET", 719_999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(mt.UnsupportedError, match="the cyclic group of order 300 needs 720,000 bytes"):
+            mt.cyclic_table(300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 720_000  # none of the table
+
+
+def test_sweep_tables_are_built_without_the_table_check(monkeypatch):
+    # every group of the catalog sweep is built by construction: GroupTable's O(g^3) check,
+    # which runs in __post_init__, is never called
+    calls = []
+    check = mt.GroupTable.__post_init__
+
+    def counted(self):
+        calls.append(self.order)
+        check(self)
+
+    monkeypatch.setattr(mt.GroupTable, "__post_init__", counted)
+    assert len(sweep_tables()) == 41
+    assert calls == []
+    mt.GroupTable(2, [[0, 1], [1, 0]])
+    assert calls == [2]  # the counter sees a checked table
+
+
 def _reference_tables():
     s3 = s3_table()
     tables = abelian_tables_up_to(24)
@@ -283,15 +338,17 @@ REFERENCE_TABLES = _reference_tables()
 
 
 def test_handed_over_tables_equal_the_checked_tables():
-    # direct_product and s3_table build groups by construction and skip the check; each
-    # table equals the one the check derives from the same mul and labels
+    # cyclic_table, direct_product and s3_table build groups by construction and skip the
+    # check; each table equals the one the check derives from the same mul and labels
     s3, sweep = mt.builtin_group("S3"), sweep_tables()
     assert len(sweep) == 41
     tables = sweep + REFERENCE_TABLES
     tables += [("Z2xZ2", mt.builtin_group("Z2xZ2")), ("S3xS3", mt.direct_product(s3, s3))]
+    tables += [(f"Z{n}", mt.cyclic_table(n)) for n in [*range(1, 65), 128, 300]]
     for name, table in tables:
         checked = mt.GroupTable(table.order, table.mul.copy(), table.labels)
         assert table.mul.dtype == table.inverse.dtype == np.int64, name
+        assert table.mul.flags.c_contiguous, name
         assert np.array_equal(table.mul, checked.mul), name
         assert (table.labels, table.identity) == (checked.labels, checked.identity), name
         assert type(table.order) is type(table.identity) is int, name
