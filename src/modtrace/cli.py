@@ -262,9 +262,25 @@ def _cmd_frobenius(args, out) -> int:
     return EXIT_OK
 
 
+def _refuse_cyclic_steps(args) -> None:
+    """Refuse ``vectg --group Z:<n>`` from ``n`` alone, before its ``8 * n^2`` byte table: with
+    the table's own refusal, then the subgroups' bound (``--subgroups``, ``--emit``), then the
+    ring's ``8 * n^3`` byte budget (``--characters``, ``--emit``), as building them would."""
+    from . import catalog, groups
+    from .fusion import _require_group_ring_budget
+
+    n = groups._require_cyclic_order(catalog._cyclic_order(args.group, "cyclic group order"))
+    if args.subgroups or args.emit:
+        groups._require_subgroup_order(n)
+    if args.characters or args.emit:
+        _require_group_ring_budget(n)
+
+
 def _cmd_vectg(args, out) -> int:
     from .groups import SUBGROUP_ORDER_BOUND
 
+    if args.group.startswith("Z:"):
+        _refuse_cyclic_steps(args)
     table = _load_group(args.group)
     abelian = table.is_abelian()
     # only --subgroups and --emit need the subgroups beyond the enumeration bound

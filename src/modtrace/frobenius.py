@@ -21,13 +21,12 @@ from .common import (
     StructuralError,
     UnsupportedError,
     complex_pair,
-    negligible,
     readonly_setstate,
 )
 from .chars import DimChar
 from .fusion import FusionRing
 from .nimrep import NimRep, is_indecomposable
-from .solver import TraceCertificate
+from .solver import TraceCertificate, _new
 
 
 def inner_hom_multiplicities(rep: NimRep, i: int, j: int) -> np.ndarray:
@@ -59,9 +58,7 @@ class FrobeniusReport:
     positivity_ok: bool = field(init=False)  #: ``dim_a > 0``
 
     def __init__(self, object_index, multiplicities, dim_a, haploid):
-        # one dict update instead of the frozen dataclass's setattr per field
-        self.__dict__.update(object_index=object_index, multiplicities=multiplicities, dim_a=dim_a,
-                             haploid=haploid, positivity_ok=dim_a > 0.0)
+        _fill_frobenius(self, object_index, multiplicities, dim_a, haploid)
 
     __setstate__ = readonly_setstate
 
@@ -77,6 +74,18 @@ class FrobeniusReport:
         }
 
 
+def _fill_frobenius(report: FrobeniusReport, object_index, multiplicities, dim_a, haploid) -> FrobeniusReport:
+    """Set the fields of a new :class:`FrobeniusReport`, ``positivity_ok`` from ``dim_a``; the
+    one fill of its constructor and of :func:`frobenius_report`."""
+    fields = report.__dict__  # item stores, not the frozen dataclass's setattr per field
+    fields["object_index"] = object_index
+    fields["multiplicities"] = multiplicities
+    fields["dim_a"] = dim_a
+    fields["haploid"] = haploid
+    fields["positivity_ok"] = dim_a > 0.0
+    return report
+
+
 def frobenius_report(
     ring: FusionRing,
     char: DimChar,
@@ -86,19 +95,24 @@ def frobenius_report(
 ) -> FrobeniusReport:
     """Frobenius data of ``<m, m>`` on an indecomposable module.
 
-    ``dim(A) = Q[m][m]``, from the certificate's diagonal, and haploidity (unit multiplicity
-    one, at the unit of ``rep.ring``) holds by the unit axiom; positivity of ``dim(A)`` is the
-    trace-existence obstruction visible on the diagonal; a ``dim(A)`` negligible at the
-    certificate's ``scale`` and ``tol`` floored at :data:`DEFAULT_TOL`, as ``Q`` is rounded,
-    reads 0.  A certificate of another character or module raises ``StructuralError``.
+    ``dim(A) = Q[m][m]``, read from the certificate's diagonal, and haploidity (unit
+    multiplicity one, at the unit of ``rep.ring``) holds by the unit axiom; positivity of
+    ``dim(A)`` is the trace-existence obstruction visible on the diagonal; a ``dim(A)``
+    negligible at the certificate's ``scale`` and ``tol`` floored at :data:`DEFAULT_TOL`, as
+    ``Q`` is rounded, reads 0.  On a certificate that keeps its diagonal, as every solve past
+    ``Q[0][0]`` does, the report forms no product: it reads one diagonal entry, the ``scale``
+    and a view of ``M``.  A certificate of another character or module raises
+    ``StructuralError``.
     """
     _require_own(char, rep, certificate)
     if not is_indecomposable(rep):
         raise UnsupportedError("Frobenius report needs an indecomposable module")
     mults = inner_hom_multiplicities(rep, m, m)
     q_mm = certificate.diagonal.item(m)
-    dusty = negligible(abs(q_mm), certificate.scale, max(certificate.tol, DEFAULT_TOL))
-    return FrobeniusReport(m, mults, 0.0 if dusty else q_mm.real, mults.item(rep.ring.unit) == 1)
+    # negligible(|q_mm|, scale, max(tol, DEFAULT_TOL)), written out
+    dusty = abs(q_mm) <= max(certificate.tol, DEFAULT_TOL) * max(1.0, certificate.scale)
+    dim_a = 0.0 if dusty else q_mm.real
+    return _fill_frobenius(_new(FrobeniusReport), m, mults, dim_a, mults.item(rep.ring.unit) == 1)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -111,9 +125,7 @@ class MoritaRescaleReport:
     ok: bool
 
     def __init__(self, object_index, scale, max_residual, ok):
-        self.__dict__.update(
-            {"object_index": object_index, "scale": scale, "max_residual": max_residual, "ok": ok}
-        )
+        _fill_morita(self, object_index, scale, max_residual, ok)
 
     def to_dict(self) -> dict:
         return {
@@ -122,6 +134,17 @@ class MoritaRescaleReport:
             "max_residual": self.max_residual,
             "ok": self.ok,
         }
+
+
+def _fill_morita(report: MoritaRescaleReport, object_index, scale, max_residual, ok) -> MoritaRescaleReport:
+    """Set the fields of a new :class:`MoritaRescaleReport`; the one fill of its constructor and
+    of :func:`morita_rescale_check`."""
+    fields = report.__dict__  # item stores, not the frozen dataclass's setattr per field
+    fields["object_index"] = object_index
+    fields["scale"] = scale
+    fields["max_residual"] = max_residual
+    fields["ok"] = ok
+    return report
 
 
 def morita_rescale_check(
@@ -136,8 +159,10 @@ def morita_rescale_check(
     With the trace normalised by ``sum |d_M|^2 = dim(C)`` the rescale factor ``Q[m][m] / d_M[m]``
     collapses to ``conj(d_M[m])``, so the identity is the anchor-column reconstruction of column
     ``m`` of ``Q``; ``ok`` when its residual is negligible at the certificate's ``scale`` and
-    ``tol`` floored at :data:`DEFAULT_TOL`, as ``d_M`` is rounded.  A certificate of another
-    character or module raises ``StructuralError``.
+    ``tol`` floored at :data:`DEFAULT_TOL`, as ``d_M`` is rounded.  The check forms one product,
+    the column ``Q[:, m]`` as :meth:`~modtrace.solver.TraceCertificate.column` forms it, and
+    reads the certificate's diagonal and ``scale``.  A certificate of another character or
+    module raises ``StructuralError``.
     """
     _require_own(char, rep, certificate)
     if not certificate.matched:
@@ -147,7 +172,9 @@ def morita_rescale_check(
     d, column = certificate.trace.d, certificate.column(m)
     # numpy's complex division, not Python's: the two differ in the last bit
     scale = complex(column[m] / d[m])
-    residuals = np.abs(column - d.item(m).conjugate() * d)
+    column -= d.item(m).conjugate() * d  # the column is this call's own
+    residuals = np.abs(column)
     max_residual = residuals.item(residuals.argmax())
-    ok = negligible(max_residual, certificate.scale, max(certificate.tol, DEFAULT_TOL))
-    return MoritaRescaleReport(m, scale, max_residual, ok)
+    # negligible(max_residual, scale, max(tol, DEFAULT_TOL)), written out
+    ok = max_residual <= max(certificate.tol, DEFAULT_TOL) * max(1.0, certificate.scale)
+    return _fill_morita(_new(MoritaRescaleReport), m, scale, max_residual, ok)

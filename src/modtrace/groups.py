@@ -130,12 +130,7 @@ def cyclic_table(n: int) -> GroupTable:
     array headers.  ``n`` must be a positive integer; a float is refused with
     :class:`TypeError`.
     """
-    if n < 1:
-        raise StructuralError("cyclic group order must be positive")
-    if isinstance(n, bool):
-        raise StructuralError("order must be an integer array")
-    n = operator.index(n)
-    require_budget(8 * n * n, "the cyclic group of order %d", n)
+    n = _require_cyclic_order(n)
     cycle = np.arange(2 * n, dtype=np.int64)
     cycle[n:] -= n  # the residues (a + b) mod n for a + b < 2 * n
     # row a is cycle[a : a + n], so mul[a, b] = cycle[a + b]
@@ -145,6 +140,18 @@ def cyclic_table(n: int) -> GroupTable:
     inverse.flags.writeable = False
     labels = ["e"] + [f"g{k}" if k > 1 else "g" for k in range(1, n)]
     return GroupTable._of_group(mul, tuple(labels), 0, inverse)
+
+
+def _require_cyclic_order(n: int) -> int:
+    """``n`` as an ``int``, refused as :func:`cyclic_table` refuses it: a positive integer whose
+    ``8 * n^2`` bytes of table are within the budget."""
+    if n < 1:
+        raise StructuralError("cyclic group order must be positive")
+    if isinstance(n, bool):
+        raise StructuralError("order must be an integer array")
+    n = operator.index(n)
+    require_budget(8 * n * n, "the cyclic group of order %d", n)
+    return n
 
 
 def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
@@ -224,10 +231,7 @@ def subgroups(table: GroupTable) -> list[tuple[int, ...]]:
     are rejected to keep the enumeration tractable.
     """
     g, mul = table.order, table.mul
-    if g > SUBGROUP_ORDER_BOUND:
-        raise UnsupportedError(
-            f"subgroup enumeration is limited to order <= {SUBGROUP_ORDER_BOUND} (got {g})"
-        )
+    _require_subgroup_order(g)
     frontier = np.zeros((1, g), dtype=bool)
     frontier[0, table.identity] = True
     found = {frontier[0].tobytes(): frontier[0]}
@@ -251,6 +255,15 @@ def subgroups(table: GroupTable) -> list[tuple[int, ...]]:
         frontier = np.array(new, dtype=bool).reshape(-1, g)
     subs = [tuple(np.flatnonzero(row).tolist()) for row in found.values()]
     return sorted(subs, key=lambda s: (len(s), s))
+
+
+def _require_subgroup_order(g: int) -> None:
+    """Refuse, as :func:`subgroups` does, the subgroups of a group of order ``g`` beyond
+    :data:`SUBGROUP_ORDER_BOUND`."""
+    if g > SUBGROUP_ORDER_BOUND:
+        raise UnsupportedError(
+            f"subgroup enumeration is limited to order <= {SUBGROUP_ORDER_BOUND} (got {g})"
+        )
 
 
 def _subgroup_mask(table: GroupTable, H) -> np.ndarray:

@@ -41,11 +41,14 @@ def dimension_matrix(char: DimChar, rep: NimRep) -> np.ndarray:
 def _diagonal_product(char: DimChar, rep: NimRep) -> np.ndarray:
     """``diag Q = d @ diag(M_u)``, over a read-only complex ``(n, k)`` copy kept with the module."""
     diagonals = rep.__dict__.get("_diagonals")
-    if diagonals is None:
-        diagonals = rep.M.diagonal(0, 1, 2).astype(complex)
-        diagonals.flags.writeable = False
-        rep.__dict__["_diagonals"] = diagonals
-    return char.d.dot(diagonals)
+    return char.d.dot(_diagonals(rep) if diagonals is None else diagonals)
+
+
+def _diagonals(rep: NimRep) -> np.ndarray:
+    """Make and keep the module's read-only complex ``(n, k)`` copy of ``diag(M_u)``."""
+    diagonals = rep.__dict__["_diagonals"] = rep.M.diagonal(0, 1, 2).astype(complex)
+    diagonals.flags.writeable = False
+    return diagonals
 
 
 def _column(char: DimChar, rep: NimRep, j: int, diagonal: np.ndarray) -> np.ndarray:
@@ -61,6 +64,7 @@ def _rank(trace: float, dim_c: float) -> int:
 
 
 _COMPLEX = np.dtype(complex)
+_new = object.__new__  # a record without type.__call__; its fields come from the record's fill
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -76,9 +80,18 @@ class ModuleTrace:
         if not (type(d) is np.ndarray and d.dtype is _COMPLEX and not d.flags.writeable):
             d = np.array(d, dtype=complex)
             d.setflags(write=False)
-        self.__dict__.update({"d": d, "anchor": anchor})
+        _fill_trace(self, d, anchor)
 
     __setstate__ = readonly_setstate
+
+
+def _fill_trace(trace: ModuleTrace, d: np.ndarray, anchor: int) -> ModuleTrace:
+    """Set the fields of a new :class:`ModuleTrace` from a read-only complex ``d``; the one fill
+    of its constructor and of the solve, which skips the check on the column it has made."""
+    fields = trace.__dict__  # item stores: cheaper than a dict update
+    fields["d"] = d
+    fields["anchor"] = anchor
+    return trace
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -100,8 +113,7 @@ class TraceCertificate:
     tol: float  #: the tolerance of the verdict; not emitted by :meth:`to_dict`
 
     def __init__(self, char, rep, trace, tol):
-        # one dict update instead of the frozen dataclass's setattr per field
-        self.__dict__.update(matched=trace is not None, char=char, rep=rep, trace=trace, tol=tol)
+        _fill_certificate(self, char, rep, trace, tol)
 
     __setstate__ = readonly_setstate
 
@@ -204,49 +216,69 @@ class TraceCertificate:
         return out
 
 
+def _fill_certificate(cert: TraceCertificate, char, rep, trace, tol) -> TraceCertificate:
+    """Set the five fields of a new :class:`TraceCertificate`, ``matched`` from ``trace``; the one
+    fill of its constructor and of the solve."""
+    fields = cert.__dict__  # item stores, not the frozen dataclass's setattr per field
+    fields["matched"] = trace is not None
+    fields["char"] = char
+    fields["rep"] = rep
+    fields["trace"] = trace
+    fields["tol"] = tol
+    return cert
+
+
 def solve_module_trace(
     ring: FusionRing, char: DimChar, rep: NimRep, tol: float = DEFAULT_TOL
 ) -> TraceCertificate:
     """Decide module-trace existence and extract the trace dimension vector.
 
-    The solve forms ``diag Q = d @ diag(M_u)`` (and ``tr Q`` as its real sum) and the
-    anchor column ``Q[:, p]`` at the largest diagonal entry ``p``, and no other entry of
-    ``Q``.  By :func:`~modtrace.common.negligible`, in this order, it is unmatched when
+    One decision forms ``diag Q = d @ diag(M_u)``, one O(nk) product, and past ``Q[0][0]``
+    ``|diag Q|``, its ``scale`` (the largest entry) and ``tr Q`` as the real sum; past the rank
+    test it forms one more product, the anchor column ``Q[:, p]`` at the largest diagonal entry
+    ``p``, and no other entry of ``Q``.  By the rule of :func:`~modtrace.common.negligible`,
+    decided as ``x <= tol * max(1, scale)`` against one bound computed once, in this order, it
+    is unmatched when
 
-    - ``|Q[0][0]|`` is negligible at scale 0, that is at most ``tol``;
-    - the smallest ``|Q[i][i]|`` is negligible at ``scale``, the largest;
+    - ``|Q[0][0]|`` is negligible at scale 0, that is at most ``tol``: it returns at once;
+    - the smallest ``|Q[i][i]|`` is negligible at ``scale``;
     - the integer rank ``round(tr(Q) / dim(C))`` is not 1, which needs no tolerance;
     - an entry of the anchor column is negligible at ``scale``: implied by the diagonal in
       exact arithmetic, it keeps ``tol = 0`` from taking dust on a zero diagonal for nonzero.
 
     That is the rank-1-with-no-zero-entry test where ``Q^2 = dim(C) Q``, for a character of the
     ring and a NIM-rep of it as the CLI validates them (``q_square`` shows a violation).  A match
-    hands ``d_M = Q[:, p] / sqrt(Q[p][p])`` to :class:`ModuleTrace` without a copy, and keeps
-    ``diagonal``, ``scale`` and its empty ``diagnostics``.
+    hands ``d_M = Q[:, p] / sqrt(Q[p][p])``, divided in place, to :class:`ModuleTrace` without a
+    copy or a check, and keeps ``diagonal``, ``scale`` and its empty ``diagnostics``.
     """
     if rep.ring is not ring and rep.ring != ring or char.ring is not ring and char.ring != ring:
         raise StructuralError("ring references of character and module disagree")
-    diagonal = _diagonal_product(char, rep)
-    if negligible(abs(diagonal.item(0)), 0.0, tol):
+    diagonals = rep.__dict__.get("_diagonals")
+    diagonal = char.d.dot(_diagonals(rep) if diagonals is None else diagonals)
+    if abs(diagonal.item(0)) <= tol:  # negligible at scale 0; False for a NaN
         # min_entry <= |Q[0][0]| <= tol <= tol * max(1, scale): a zero entry
-        return TraceCertificate(char, rep, None, tol)
-    diagonal.flags.writeable = False
+        return _fill_certificate(_new(TraceCertificate), char, rep, None, tol)
+    diagonal.setflags(write=False)  # cheaper than through .flags
     mag = np.abs(diagonal)
     scale = mag.item(mag.argmax())
+    floor = tol * max(1.0, scale)  # negligible(x, scale, tol) is x <= floor; max(1.0, NaN) is 1.0
     trace = None
-    real = diagonal.real
-    rank = _rank(real.sum(), global_dimension(char))
-    if not negligible(mag.item(mag.argmin()), scale, tol) and rank == 1:
-        p = int(real.argmax())
-        column = _column(char, rep, p, diagonal)
-        mag = np.abs(column)
-        if not negligible(mag.item(mag.argmin()), scale, tol):
-            d = column / math.sqrt(real.item(p))
-            d.flags.writeable = False
-            trace = ModuleTrace(d, p)
-    cert = TraceCertificate(char, rep, trace, tol)
-    found = cert.__dict__  # item stores: cheaper than a dict update
-    found["diagonal"], found["scale"] = diagonal, scale
+    if not mag.item(mag.argmin()) <= floor:
+        real = diagonal.real
+        dim_c = char.__dict__.get("_dim_c")
+        # real.sum() without its Python-level wrapper: the same reduction, bit for bit
+        if _rank(np.add.reduce(real), global_dimension(char) if dim_c is None else dim_c) == 1:
+            p = int(real.argmax())
+            column = _column(char, rep, p, diagonal)
+            mag = np.abs(column)
+            if not mag.item(mag.argmin()) <= floor:
+                column /= math.sqrt(real.item(p))
+                column.setflags(write=False)
+                trace = _fill_trace(_new(ModuleTrace), column, p)
+    cert = _fill_certificate(_new(TraceCertificate), char, rep, trace, tol)
+    found = cert.__dict__
+    found["diagonal"] = diagonal
+    found["scale"] = scale
     if trace is not None:
         found["diagnostics"] = ()
     return cert

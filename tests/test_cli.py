@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modtrace as mt
@@ -398,30 +398,40 @@ def test_cyclic_bounds_are_the_largest_orders_within_the_budget():
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_cyclic_orders_exit_0_or_refuse_in_one_line(data):
+def test_cyclic_orders_exit_0_or_refuse_in_one_line(tmp_path_factory, data):
     prefix = data.draw(st.sampled_from(["Z:", "zn:"]), "prefix")
     bound = CYCLIC_BOUNDS[prefix]
-    order = data.draw(
-        st.one_of(
-            st.sampled_from(MALFORMED_ORDERS),
-            st.integers(max_value=0).map(str),
-            st.integers(1, 64).map(str),
-            st.integers(min_value=bound + 1).map(str),
-        ),
-        "order",
-    )
+    orders = [
+        st.sampled_from(MALFORMED_ORDERS),
+        st.integers(max_value=0).map(str),
+        st.integers(1, 64).map(str),
+        st.integers(min_value=bound + 1).map(str),
+    ]
+    if prefix == "Z:":
+        orders.append(st.integers(65, bound).map(str))
+    order = data.draw(st.one_of(orders), "order")
     try:
         n = int(order)  # as the CLI reads it
     except ValueError:
         n = None
-    # Z:65 to Z:5792 are accepted, with tables of up to 268 MB
-    assume(not (prefix == "Z:" and n is not None and 64 < n <= bound))
+    emit = tmp_path_factory.getbasetemp() / "never-written"
+    needs = None
     if prefix == "Z:":
         flags = data.draw(st.lists(st.sampled_from(["--json", "--subgroups", "--characters"]), unique=True))
+        if n is not None and 64 < n <= bound:
+            # Z:65 to Z:5792 have tables of up to 268 MB: each comes with a flag that its order
+            # refuses before the table, --subgroups or --emit past the subgroups' bound, or
+            # --characters past the ring's budget, with the error of that step
+            if "--subgroups" not in flags and not ("--characters" in flags and n > CYCLIC_BOUNDS["zn:"]):
+                flags += ["--emit", str(emit)]
+            if "--subgroups" in flags or "--emit" in flags:
+                needs = f"subgroup enumeration is limited to order <= 64 (got {n})"
+            else:
+                needs = f"the ring of a group of order {n} needs {8 * n**3:,} bytes, over the budget of 268,435,456"
         argv = ["vectg", "--group", f"Z:{order}", *flags]
     else:
         argv = ["builtin", f"zn:{order}", *data.draw(st.sampled_from([[], ["--json"]]))]
-    refused = n is None or not 1 <= n <= bound
+    refused = n is None or not 1 <= n <= bound or needs is not None
     assert invoke("vectg", "--group", "Z:2", "--characters")[0] == 0  # the layers are loaded
     if refused:
         tracemalloc.start()
@@ -434,7 +444,8 @@ def test_cyclic_orders_exit_0_or_refuse_in_one_line(data):
     assert code == (2 if refused else 0)
     if refused:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-        assert peak < 2**20
+        assert needs is None or err == f"error: {needs}\n"
+        assert peak < 2**20 and not emit.exists()
     else:
         assert err == ""
 

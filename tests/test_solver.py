@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -996,3 +997,109 @@ def test_rank_from_trace_agrees_with_verdict_on_universe():
         assert ("rank exceeds 1" in cert.diagnostics) == (rank >= 2), label
         ranks.add(rank)
     assert {0, 1, 2} <= ranks
+
+
+def _edge_inputs():
+    """``(label, ring, char, rep)`` at the edges of the tolerance rule: NaN and +-inf at a
+    character entry other than the first, a dust ``Q[0][0]`` beside a NaN, and the instances of
+    ``instance_universe(max_zn=4)``, whose exact zeros meet ``tol = 0``."""
+    fib = mt.builtin("fibonacci")[0]
+    z4 = mt.cyclic_table(4)
+    z4_ring = mt.group_ring(z4)
+    modules = [("fib/regular", fib, mt.regular_module(fib))]
+    modules += [(f"z4/H{h}", z4_ring, mt.vect_g_module(z4, H)) for h, H in enumerate(mt.subgroups(z4))]
+    entries = [math.nan, math.inf, -math.inf, complex(0.5, math.nan), 1.0, -1.0, 1e-12]
+    for label, ring, rep in modules:
+        for x in entries:
+            for first in (1.0, 1e-12):
+                d = [first, x] + [1.0] * (ring.rank - 2)
+                yield f"{label}/{first!r},{x!r}", ring, mt.DimChar(ring, d), rep
+    # a product with a zero multiplicity is NaN beside any NaN or inf entry, so only a sum of
+    # +inf and -inf puts a NaN on the diagonal beside a dust Q[0][0]: no valid NIM-rep does
+    ising = mt.builtin("ising")[0]
+    M = np.zeros((3, 2, 2), dtype=np.int64)
+    M[0, 0, 0] = 1
+    M[1] = M[2] = [[0, 1], [1, 2]]
+    yield "ising/+inf-inf", ising, mt.DimChar(ising, [1e-12, 1e308, -1e308]), mt.NimRep(ising, 2, M)
+    yield from instance_universe(max_zn=4)
+
+
+def test_inlined_tolerance_rule_equals_negligible_at_its_edges():
+    # the solve and both reports decide x <= tol * max(1, scale) written out; each decision
+    # equals common.negligible's, read from the certificate's diagonal and columns.  A NaN scale
+    # reaches a decision only in the reports (the solve's rank is then never 1), where
+    # max(1.0, NaN) is 1.0 and max(NaN, 1.0) NaN: a dust Q[m][m] beside a NaN tells them apart
+    inputs = list(_edge_inputs())
+    decided = {"early": 0, "matched": 0, "dim_a dust": 0, "NaN scale": 0, "morita": 0}
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and inf - inf are NaN, as meant
+        _compare_with_negligible(inputs, decided)
+    assert all(decided.values()), decided
+
+
+def _compare_with_negligible(inputs, decided):
+    for tol in (0.0, mt.DEFAULT_TOL, 1.5, 10.0):
+        floor = max(tol, mt.DEFAULT_TOL)
+        for label, ring, char, rep in inputs:
+            cert = mt.solve_module_trace(ring, char, rep, tol)
+            early = "diagonal" not in vars(cert)
+            diagonal, scale = cert.diagonal, cert.scale
+            assert early == negligible(abs(diagonal[0]), 0.0, tol), (label, tol)
+            real = diagonal.real
+            matched = not early and not negligible(np.abs(diagonal).min(), scale, tol)
+            matched = matched and solver._rank(real.sum(), cert.dim_c) == 1
+            if matched:
+                p = int(real.argmax())
+                matched = not negligible(np.abs(cert.column(p)).min(), scale, tol)
+            assert cert.matched == matched == (cert.diagnostics == ()), (label, tol)
+            assert dataclasses.replace(cert).diagnostics == cert.diagnostics, (label, tol)
+            decided["early"] += early
+            decided["matched"] += matched
+            if not mt.is_indecomposable(rep):
+                continue
+            for m in range(rep.module_rank):
+                q_mm = diagonal[m]
+                dim_a = 0.0 if negligible(abs(q_mm), scale, floor) else q_mm.real
+                got = mt.frobenius_report(ring, char, rep, m, cert).dim_a
+                assert struct.pack("<d", got) == struct.pack("<d", dim_a), (label, tol, m)
+                decided["dim_a dust"] += dim_a == 0.0 and q_mm != 0
+                decided["NaN scale"] += math.isnan(scale) and dim_a == 0.0 and q_mm != 0
+                if cert.matched:
+                    morita = mt.morita_rescale_check(ring, char, rep, m, cert)
+                    assert morita.ok == negligible(morita.max_residual, scale, floor), (label, tol, m)
+                    decided["morita"] += 1
+
+
+def _products_per_call(call) -> tuple:
+    """``call()`` and the number of ``ndarray.dot`` products it made, counted from the
+    ``c_call`` events of ``sys.setprofile``: every product of the solve and both reports."""
+    products = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__qualname__", None) == "ndarray.dot":
+            products.append(1)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, len(products)
+
+
+def test_one_decision_makes_one_or_two_products():
+    # the pipeline of one catalog_sweep op: a zero Q[0][0] returns after the diagonal product, a
+    # match adds the anchor column; frobenius_report reads the kept diagonal and
+    # morita_rescale_check forms column m
+    counts = {"early": set(), "full": set(), "matched": set(), "frobenius": set(), "morita": set()}
+    for label, ring, char, rep, _ in _oracle_inputs():
+        mt.solve_module_trace(ring, char, rep)  # keeps the module's diagonal copy, as a sweep does
+        cert, products = _products_per_call(lambda: mt.solve_module_trace(ring, char, rep))
+        route = "matched" if cert.matched else "full" if "diagonal" in vars(cert) else "early"
+        counts[route].add(products)
+        if not cert.matched or not mt.is_indecomposable(rep):
+            continue
+        for m in range(rep.module_rank):
+            counts["frobenius"].add(_products_per_call(lambda: mt.frobenius_report(ring, char, rep, m, cert))[1])
+            counts["morita"].add(_products_per_call(lambda: mt.morita_rescale_check(ring, char, rep, m, cert))[1])
+    assert counts["early"] == {1} and counts["matched"] == {2} and counts["frobenius"] == {0}
+    assert counts["full"] <= {1, 2} and counts["morita"] <= {0, 1} and all(counts.values()), counts
